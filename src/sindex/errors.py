@@ -89,3 +89,7 @@ class PipelineError(SindexError):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):
+        # The default reduction passes only the message to __init__.
+        return (type(self), (self.stage, self.cause))

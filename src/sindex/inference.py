@@ -144,22 +144,14 @@ def adjust_inferential(
         sigma2 = kappa * float(resid @ resid) / (n * (v + lam) ** 2)
         mu = float(np.sqrt(abs(float(beta_hat @ beta_hat) - sigma2)))
         return mu, sigma2
-    if mode == "unregularized":
-        v = vhat(x, beta_hat, gprime, lam=0.0)
-        if v == 0:
-            raise DegenerateError("v0 degenerated to zero")
-        z = x @ beta_hat
-        resid = y - g(z)
-        sigma2 = kappa * float(resid @ resid) / (n * v ** 2)
-        mu = float(np.sqrt(abs(float(z @ z) / n - (1.0 - kappa) * sigma2)))
-        return mu, sigma2
-    if mode == "censored":
-        if censor is None:
+    if mode in ("unregularized", "censored"):
+        if mode == "censored" and censor is None:
             raise ConfigError("censored mode needs a censoring window")
-        v = vhat(x, beta_hat, gprime, lam=0.0, censor=censor)
+        window = censor if mode == "censored" else None
+        v = vhat(x, beta_hat, gprime, lam=0.0, censor=window)
         if v == 0:
-            raise DegenerateError("censored v0 degenerated to zero")
-        z = censor.censor(x @ beta_hat)
+            raise DegenerateError(f"{mode} v0 degenerated to zero")
+        z = x @ beta_hat if window is None else window.censor(x @ beta_hat)
         resid = y - g(z)
         sigma2 = kappa * float(resid @ resid) / (n * v ** 2)
         mu = float(np.sqrt(abs(float(z @ z) / n - (1.0 - kappa) * sigma2)))
@@ -203,7 +195,7 @@ def marginal_inference(
     ci_lo = (beta_hat - half) / mu_hat
     ci_hi = (beta_hat + half) / mu_hat
     p_values = 2.0 * (1.0 - ndtr(np.abs(t_stats)))
-    reject = half <= np.abs(beta_hat)
+    reject = np.abs(t_stats) >= z
     return InferenceReport(
         mode=mode,
         alpha=alpha,

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.special import exp1, expit
 
+from ._linalg import cho_inverse
 from .errors import ConfigError, GenerationError, InvalidDesignError
 
 _EULER_GAMMA = 0.5772156649015329
@@ -77,7 +77,7 @@ class DesignSpec:
             raise InvalidDesignError(
                 "covariance is not positive definite"
             ) from err
-        theta_diag = np.diag(cho_solve(cho_factor(sigma), np.eye(sigma.shape[0])))
+        theta_diag = np.diag(cho_inverse((chol.copy(), True)))
         return cls(
             p=sigma.shape[0],
             sigma=sigma,
@@ -256,8 +256,8 @@ def sample_design(n: int, spec: DesignSpec, seed) -> np.ndarray:
     """Draw n i.i.d. rows from N_p(0, Sigma) through the Cholesky factor."""
     if n < 1:
         raise ConfigError("need at least one row")
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((n, spec.p)) @ spec.chol.T
+    draw = np.random.default_rng(seed).standard_normal((n, spec.p))
+    return draw if np.array_equal(spec.chol, np.eye(spec.p)) else draw @ spec.chol.T
 
 
 def sample_coefficients(p: int, scheme: str, spec: DesignSpec, seed) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 from scipy.special import expit
 
-from ._linalg import adjustment_trace
+from ._linalg import adjustment_trace, cho_inverse, weighted_gram
 from .errors import (
     ConfigError,
     DegenerateError,
@@ -62,28 +62,19 @@ def _ridge_solve(x, y, lam, want_trace=True):
     from the same factorization."""
     n, p = x.shape
     c = n * lam
+    dual = p > n
     try:
-        if p > n:
-            g = x @ x.T
-            g[np.diag_indices_from(g)] += c
-            fac = cho_factor(g)
-            beta = x.T @ cho_solve(fac, y)
-            if not want_trace:
-                return beta, None
-            # tr(I_n - X A^{-1} X') = tr(c G^{-1}) for G = XX' + cI.
-            v = lam * np.trace(cho_solve(fac, np.eye(n)))
-            return beta, float(v)
-        a = x.T @ x
-        a[np.diag_indices_from(a)] += c
-        fac = cho_factor(a)
-        beta = cho_solve(fac, x.T @ y)
-        if not want_trace:
-            return beta, None
-        # tr(I_n - X A^{-1} X') = n - p + c tr(A^{-1}).
-        v = (n - p + c * np.trace(cho_solve(fac, np.eye(p)))) / n
-        return beta, float(v)
+        fac = cho_factor(weighted_gram(x, ridge=c, dual=dual), overwrite_a=True)
     except LinAlgError as err:
         raise SolverError(f"ridge system could not be factorized: {err}") from err
+    beta = x.T @ cho_solve(fac, y) if dual else cho_solve(fac, x.T @ y)
+    if not want_trace:
+        return beta, None
+    tr_inv = np.trace(cho_inverse(fac))
+    # tr(I_n - X A^{-1} X') is tr(c G^{-1}) for the dual G = XX' + cI, and
+    # n - p + c tr(A^{-1}) for the primal A = X'X + cI.
+    v = lam * tr_inv if dual else (n - p + c * tr_inv) / n
+    return beta, float(v)
 
 
 def least_squares_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -92,7 +83,7 @@ def least_squares_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if n <= p:
         raise NonIdentifiableError("least squares needs n > p")
     try:
-        return cho_solve(cho_factor(x.T @ x), x.T @ y)
+        return cho_solve(cho_factor(weighted_gram(x), overwrite_a=True), x.T @ y)
     except LinAlgError as err:
         raise NonIdentifiableError(f"design is rank deficient: {err}") from err
 
@@ -128,39 +119,42 @@ def _glm_newton(x, y, family, tol, max_iter, guard, max_halvings):
     objective = nll(np.zeros(n), y)
     path = [objective]
     grad_norm = np.inf
+    t = x @ beta
+    grad = x.T @ (mean(t) - y)
     for it in range(1, max_iter + 1):
-        t = x @ beta
-        grad = x.T @ (mean(t) - y)
         grad_norm = float(np.max(np.abs(grad)))
         if grad_norm < tol:
             return beta, path, grad_norm, it - 1
-        w = weight(t)
-        hess = x.T @ (w[:, None] * x)
         try:
-            direction = -cho_solve(cho_factor(hess), grad)
+            fac = cho_factor(weighted_gram(x, weight(t)), overwrite_a=True)
         except LinAlgError as err:
             raise SolverError(f"Newton system is singular: {err}") from err
+        direction = -cho_solve(fac, grad)
         # Quadratic-phase acceptance: take the full step whenever it halves
         # the gradient.  Near the optimum the objective decrease falls below
-        # float resolution, so an Armijo test alone stalls.
+        # float resolution, so an Armijo test alone stalls.  An accepted
+        # step carries its index and gradient into the next iteration.
         candidate = beta + direction
-        full_value = nll(x @ candidate, y)
-        full_grad = x.T @ (mean(x @ candidate) - y)
+        full_t = x @ candidate
+        full_value = nll(full_t, y)
+        full_grad = x.T @ (mean(full_t) - y)
         if np.isfinite(full_value) and np.all(np.isfinite(full_grad)) and (
             np.max(np.abs(full_grad)) <= 0.5 * grad_norm
         ):
-            value = full_value
+            value, t, grad = full_value, full_t, full_grad
         else:
             slope = float(grad @ direction)
             step = 1.0
             for _ in range(max_halvings + 1):
                 candidate = beta + step * direction
-                value = nll(x @ candidate, y)
+                t = x @ candidate
+                value = nll(t, y)
                 if np.isfinite(value) and value < objective + 1e-4 * step * slope:
                     break
                 step *= 0.5
             else:
                 raise SolverError("line search failed to decrease the objective")
+            grad = x.T @ (mean(t) - y)
         beta = candidate
         objective = value
         path.append(objective)
@@ -210,6 +204,19 @@ def glm_vtilde(x: np.ndarray, weights: np.ndarray) -> float:
     return adjustment_trace(x, weights, 0.0) / x.shape[0]
 
 
+def _ridge_adjustments(beta, x, y, lam, v) -> Adjustments:
+    """Ridge adjustments given v = n^{-1} tr(I - X(X'X + n lam I)^{-1}X')."""
+    n, p = x.shape
+    kappa = p / n
+    if v + lam <= 0:
+        raise DegenerateError("ridge adjustment has v + lambda = 0")
+    resid = y - x @ beta
+    gamma = kappa / (v + lam)
+    sigma2 = kappa * float(resid @ resid) / (n * (v + lam) ** 2)
+    mu = float(np.sqrt(abs(float(beta @ beta) - sigma2)))
+    return Adjustments(v=float(v), gamma=float(gamma), mu=mu, sigma2=sigma2, kappa=kappa)
+
+
 def pilot_adjustments(
     beta: np.ndarray,
     x: np.ndarray,
@@ -234,14 +241,7 @@ def pilot_adjustments(
     if kind == "ridge":
         if lam is None or lam <= 0:
             raise ConfigError("ridge adjustments need a positive lambda")
-        v = adjustment_trace(x, np.ones(n), n * lam) / n
-        if v + lam <= 0:
-            raise DegenerateError("ridge adjustment has v + lambda = 0")
-        resid = y - x @ beta
-        gamma = kappa / (v + lam)
-        sigma2 = kappa * float(resid @ resid) / (n * (v + lam) ** 2)
-        mu = float(np.sqrt(abs(float(beta @ beta) - sigma2)))
-        return Adjustments(v=float(v), gamma=float(gamma), mu=mu, sigma2=sigma2, kappa=kappa)
+        return _ridge_adjustments(beta, x, y, lam, adjustment_trace(x, np.ones(n), n * lam) / n)
     if kind == "ls":
         if kappa >= 1:
             raise DegenerateError("least-squares adjustments need kappa < 1")
@@ -293,20 +293,12 @@ def fit_pilot(
 
     For ridge the solve and the trace share one factorization.
     """
-    n, p = x.shape
-    kappa = p / n
     if kind == "ridge":
         lam = 1.0 if lam is None else lam
         if lam <= 0:
             raise ConfigError("ridge penalty must be positive")
         beta, v = _ridge_solve(x, y, lam, want_trace=True)
-        if v + lam <= 0:
-            raise DegenerateError("ridge adjustment has v + lambda = 0")
-        resid = y - x @ beta
-        gamma = kappa / (v + lam)
-        sigma2 = kappa * float(resid @ resid) / (n * (v + lam) ** 2)
-        mu = float(np.sqrt(abs(float(beta @ beta) - sigma2)))
-        adj = Adjustments(v=float(v), gamma=float(gamma), mu=mu, sigma2=sigma2, kappa=kappa)
+        adj = _ridge_adjustments(beta, x, y, lam, v)
         return PilotFit(beta=beta, kind=kind, lam=lam, adjustments=adj)
     if kind == "ls":
         beta = least_squares_fit(x, y)

@@ -13,6 +13,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
+from ._linalg import weighted_gram
 from .deconv import LinkEstimate, eval_link
 from .errors import (
     ConfigError,
@@ -165,12 +166,9 @@ def surrogate_objective(
     t = x @ b
     value = _objective_value(t, b, y, prob)
     grad = x.T @ (prob.g(t) - y)
-    w = prob.gprime(t)
-    hess = x.T @ (w[:, None] * x)
-    if prob.penalty == "ridge":
-        ridge = prob.lam * x.shape[0]
-        grad = grad + ridge * b
-        hess = hess + ridge * np.eye(len(b))
+    ridge = prob.lam * x.shape[0] if prob.penalty == "ridge" else 0.0
+    grad = grad + ridge * b
+    hess = weighted_gram(x, prob.gprime(t), ridge)
     if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
         raise ObjectiveOverflowError("surrogate gradient or Hessian is non-finite")
     return value, grad, hess
@@ -192,30 +190,27 @@ def _newton_direction(x, w, ridge, grad):
 
     A singular Hessian (possible when the link derivative vanishes at the
     current iterate, e.g. a cubic link at the zero start) falls back to a
-    diagonally jittered solve; any positive shift still yields a descent
-    direction for the line search.
+    diagonally jittered solve (rebuilt, as the factorization overwrites it);
+    any positive shift still yields a descent direction for the line search.
     """
     n, p = x.shape
     if ridge > 0.0 and p > n:
         try:
+            fac = cho_factor(weighted_gram(x, w, ridge, dual=True), overwrite_a=True)
             s = np.sqrt(w)
-            k = (s[:, None] * x) @ (s[:, None] * x).T
-            k[np.diag_indices_from(k)] += ridge
-            inner = cho_solve(cho_factor(k), s * (x @ grad))
+            inner = cho_solve(fac, s * (x @ grad))
             return -(grad - x.T @ (s * inner)) / ridge
         except LinAlgError as err:
             raise SolverError(f"Newton system is singular: {err}") from err
-    hess = x.T @ (w[:, None] * x)
-    if ridge > 0.0:
-        hess[np.diag_indices_from(hess)] += ridge
+    hess = weighted_gram(x, w, ridge)
+    base = max(np.trace(hess) / p, float(np.linalg.norm(grad)), 1e-8)
     shift = 0.0
     for _ in range(12):
         try:
-            shifted = hess if shift == 0.0 else hess + shift * np.eye(p)
-            return -cho_solve(cho_factor(shifted), grad)
+            return -cho_solve(cho_factor(hess, overwrite_a=True), grad)
         except LinAlgError:
-            base = max(np.trace(hess) / p, float(np.linalg.norm(grad)), 1e-8)
             shift = base * 1e-8 if shift == 0.0 else shift * 100.0
+            hess = weighted_gram(x, w, ridge + shift)
     raise SolverError("Newton system stayed singular under diagonal shifts")
 
 
@@ -238,11 +233,15 @@ def fit_coefficients(
         )
     ridge = prob.lam * n if prob.penalty == "ridge" else 0.0
     beta = np.zeros(p)
-    objective = _objective_value(x @ beta, beta, y, prob)
+
+    def gradient(b, t):
+        return x.T @ (prob.g(t) - y) + ridge * b
+
+    t = x @ beta
+    objective = _objective_value(t, beta, y, prob)
+    grad = gradient(beta, t)
     grad_norm = np.inf
     for it in range(1, opts.max_iter + 1):
-        t = x @ beta
-        grad = x.T @ (prob.g(t) - y) + ridge * beta
         if not np.all(np.isfinite(grad)):
             raise ObjectiveOverflowError("surrogate gradient is non-finite")
         grad_norm = float(np.max(np.abs(grad)))
@@ -258,26 +257,25 @@ def fit_coefficients(
         direction = _newton_direction(x, prob.gprime(t), ridge, grad)
         # Quadratic-phase acceptance: take the full step whenever it halves
         # the gradient; an Armijo test alone stalls once the objective
-        # decrease drops below float resolution.
+        # decrease drops below float resolution.  An accepted step carries
+        # its index and gradient into the next iteration.
         candidate = beta + direction
-        full_value = _objective_value(x @ candidate, candidate, y, prob, strict=False)
-        full_grad = x.T @ (prob.g(x @ candidate) - y)
-        if prob.penalty == "ridge":
-            full_grad = full_grad + prob.lam * x.shape[0] * candidate
+        full_t = x @ candidate
+        full_value = _objective_value(full_t, candidate, y, prob, strict=False)
+        full_grad = gradient(candidate, full_t)
         if (
             np.isfinite(full_value)
             and np.all(np.isfinite(full_grad))
             and np.max(np.abs(full_grad)) <= 0.5 * grad_norm
         ):
-            cand_value = full_value
+            cand_value, t, grad = full_value, full_t, full_grad
         else:
             slope = float(grad @ direction)
             step = 1.0
             for _ in range(opts.max_halvings + 1):
                 candidate = beta + step * direction
-                cand_value = _objective_value(
-                    x @ candidate, candidate, y, prob, strict=False
-                )
+                t = x @ candidate
+                cand_value = _objective_value(t, candidate, y, prob, strict=False)
                 if np.isfinite(cand_value) and cand_value < objective + 1e-4 * step * slope:
                     break
                 step *= 0.5
@@ -288,6 +286,7 @@ def fit_coefficients(
                     grad_norm=grad_norm,
                     beta=beta,
                 )
+            grad = gradient(candidate, t)
         beta = candidate
         objective = cand_value
     raise NonConvergenceError(

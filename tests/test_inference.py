@@ -114,6 +114,15 @@ def test_marginal_inference_null_and_centering():
     assert np.all(center <= report.ci_hi + 1e-12)
 
 
+def test_marginal_inference_reject_tests_the_null():
+    beta_hat = np.array([5.0, -2.0, 0.0])
+    report = marginal_inference(
+        beta_hat, 2.0, 0.25, np.ones(3), null_values=beta_hat / 2.0
+    )
+    assert np.allclose(report.p_values, 1.0)
+    assert not report.reject.any()
+
+
 def test_marginal_inference_interval_width_and_rejection():
     p = 7
     beta_hat = rng.normal(size=p)

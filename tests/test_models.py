@@ -85,6 +85,11 @@ def test_sample_design_column_means_shrink():
         assert np.max(np.abs(x.mean(axis=0))) < 5 / np.sqrt(n)
 
 
+def test_sample_design_identity_is_the_raw_draw():
+    x = sample_design(30, DesignSpec.identity(4), seed=5)
+    assert np.array_equal(x, np.random.default_rng(5).standard_normal((30, 4)))
+
+
 def test_sample_design_rejects_indefinite_sigma():
     sigma = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
     with pytest.raises(InvalidDesignError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sindex.errors import ConfigError, PipelineError, SplitError
+from sindex.experiments import _map_reps
 from sindex.models import (
     CLOGLOG_LINK,
     Dataset,
@@ -112,6 +113,14 @@ def test_stage_labels_on_errors():
     with pytest.raises(PipelineError) as excinfo:
         run_pipeline(data, config, design=spec)
     assert excinfo.value.stage == "pilot"
+
+
+def test_pipeline_error_crosses_process_pool():
+    args = [(Dataset(np.ones((1, 3)), np.ones(1)), PipelineConfig())]
+    with pytest.raises(PipelineError) as excinfo:
+        _map_reps(run_pipeline, args, 2)
+    assert excinfo.value.stage == "split"
+    assert isinstance(excinfo.value.cause, SplitError)
 
 
 def test_config_validation():
