@@ -10,6 +10,7 @@ from .deconv import (
     KernelSpec,
     LinkEstimate,
     TRIWEIGHT_KERNEL,
+    build_antiderivative,
     deconv_kernel_eval,
     estimate_link,
     eval_link,
@@ -67,8 +68,8 @@ from .pilot import (
     PilotFit,
     fit_pilot,
     glm_mle_fit,
-    glm_vtilde,
     least_squares_fit,
+    observable_adjustments,
     pilot_adjustments,
     ridge_fit,
 )
@@ -83,7 +84,6 @@ from .surrogate import (
     CoefFit,
     FitOptions,
     SurrogateProblem,
-    build_antiderivative,
     fit_coefficients,
     surrogate_objective,
 )

@@ -1,20 +1,10 @@
 """Debiased index estimator and its standardized diagnostic."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .deconv import IndexEstimate
 from .errors import DegenerateError
 from .pilot import PilotFit, pilot_score_residual
-
-
-@dataclass(frozen=True)
-class IndexEstimate:
-    """Debiased index values W_i and the noise ratio sigma^2/mu^2 that
-    parameterizes the deconvolution kernel downstream."""
-
-    w: np.ndarray
-    varsigma2: float
 
 
 def debias_index(x: np.ndarray, y: np.ndarray, fit: PilotFit) -> IndexEstimate:

@@ -13,12 +13,12 @@ nodes (identical to summing kernel evaluations, but one pass over the data).
 
 import csv
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
-from .debias import IndexEstimate
 from .errors import (
     BandwidthConstraintError,
     ConfigError,
@@ -28,6 +28,15 @@ from .errors import (
 from .monotonize import GridFunction, get_monotonizer
 
 _MAX_EXPONENT = 700.0  # exp overflow guard for the kernel integrand
+
+
+@dataclass(frozen=True)
+class IndexEstimate:
+    """Debiased index values W_i and the noise ratio sigma^2/mu^2 that
+    parameterizes the deconvolution kernel."""
+
+    w: np.ndarray
+    varsigma2: float
 
 
 def _triweight_fourier(t):
@@ -54,7 +63,6 @@ class KernelSpec:
 
     fourier: Callable[[np.ndarray], np.ndarray]
     m0: float
-    order: int
     label: str
 
     def __post_init__(self):
@@ -64,10 +72,10 @@ class KernelSpec:
 
 #: Triweight window (1 - t^2)^3 on [-1, 1] applied in the frequency domain;
 #: a second-order kernel with compact Fourier support.  Default.
-TRIWEIGHT_KERNEL = KernelSpec(_triweight_fourier, m0=1.0, order=2, label="triweight")
+TRIWEIGHT_KERNEL = KernelSpec(_triweight_fourier, m0=1.0, label="triweight")
 
-#: Flat-top window; infinite-order kernel (order records the taper class).
-FLATTOP_KERNEL = KernelSpec(_flattop_fourier, m0=1.0, order=2, label="flattop")
+#: Flat-top window; an infinite-order kernel.
+FLATTOP_KERNEL = KernelSpec(_flattop_fourier, m0=1.0, label="flattop")
 
 KERNELS = {"triweight": TRIWEIGHT_KERNEL, "flattop": FLATTOP_KERNEL}
 
@@ -120,12 +128,38 @@ class LinkEstimate:
     window: Tuple[float, float]
     deriv_floor: float
 
+    @functools.cached_property
+    def _pieces(self):
+        """Slopes indexed by searchsorted(grid, x, "right"): the floored
+        left end slope, the cell slopes, the floored right end slope; the
+        same slopes floored; and the antiderivative at the nodes."""
+        slopes = np.diff(self.values) / np.diff(self.grid)
+        lo = max(slopes[0], self.deriv_floor)
+        hi = max(slopes[-1], self.deriv_floor)
+        slopes = np.concatenate(([lo], slopes, [hi]))
+        return (
+            slopes,
+            np.maximum(slopes, self.deriv_floor),
+            build_antiderivative(self.grid, self.values),
+        )
+
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(["x", "ghat", "ghat_deriv"])
             for x, g, d in zip(self.grid, self.values, self.deriv):
                 writer.writerow([repr(float(x)), repr(float(g)), repr(float(d))])
+
+
+def build_antiderivative(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Antiderivative values at the grid nodes, zero at the left edge.
+
+    The cumulative trapezoid rule is the exact integral of the
+    piecewise-linear interpolant of (xs, vs).
+    """
+    xs = np.asarray(xs, dtype=float)
+    vs = np.asarray(vs, dtype=float)
+    return cumulative_trapezoid(vs, xs, initial=0.0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -262,7 +296,7 @@ def estimate_link(
     index: IndexEstimate, y: np.ndarray, config: DeconvConfig
 ) -> LinkEstimate:
     """Full link estimate: bandwidth, deconvolution grid, fill, monotonize,
-    and a floored central-difference derivative."""
+    and the floored cell-slope derivative that eval_link reports."""
     h = select_bandwidth(
         len(index.w),
         float(np.sqrt(index.varsigma2)),
@@ -286,21 +320,28 @@ def estimate_link(
         raise EmptyEstimateError("no grid point carries a usable estimate")
     filled = _fill_nearest(raw, in_range)
     mono = get_monotonizer(config.monotonizer)(GridFunction(config.grid, filled)).vs
-    grid = config.grid
-    deriv = np.empty_like(mono)
-    deriv[1:-1] = (mono[2:] - mono[:-2]) / (grid[2:] - grid[:-2])
-    deriv[0] = (mono[1] - mono[0]) / (grid[1] - grid[0])
-    deriv[-1] = (mono[-1] - mono[-2]) / (grid[-1] - grid[-2])
-    deriv = np.maximum(deriv, config.deriv_floor)
-    return LinkEstimate(
-        grid=grid,
+    link = LinkEstimate(
+        grid=config.grid,
         values=mono,
-        deriv=deriv,
+        deriv=mono,  # replaced below by the derivative the fit uses
         varsigma2=index.varsigma2,
         h=h,
         window=config.window,
         deriv_floor=config.deriv_floor,
     )
+    return replace(link, deriv=eval_link(link, link.grid)[1])
+
+
+def _locate(est: LinkEstimate, x: np.ndarray):
+    """Slope index, anchor node and offset from it for every point of x.
+
+    Inside the window the anchor is the left node of the point's cell;
+    beyond it, the nearest end node, where the floored end slope continues
+    the link linearly.
+    """
+    pos = np.searchsorted(est.grid, x, side="right")
+    node = np.maximum(pos - 1, 0)
+    return pos, node, x - est.grid[node]
 
 
 def eval_link(est: LinkEstimate, x):
@@ -310,22 +351,19 @@ def eval_link(est: LinkEstimate, x):
     boundary slope; the reported derivative is the local slope, never below
     the floor.
     """
-    xs, vs, floor = est.grid, est.values, est.deriv_floor
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    slopes = np.diff(vs) / np.diff(xs)
-    cell = np.clip(np.searchsorted(xs, x_arr, side="right") - 1, 0, len(xs) - 2)
-    g = np.interp(x_arr, xs, vs)
-    gp = np.maximum(slopes[cell], floor)
-    lo_slope = max(slopes[0], floor)
-    hi_slope = max(slopes[-1], floor)
-    below = x_arr < xs[0]
-    above = x_arr > xs[-1]
-    g[below] = vs[0] + lo_slope * (x_arr[below] - xs[0])
-    g[above] = vs[-1] + hi_slope * (x_arr[above] - xs[-1])
-    gp[below] = lo_slope
-    gp[above] = hi_slope
+    slopes, floored, _ = est._pieces
+    pos, node, dx = _locate(est, np.atleast_1d(x_arr))
+    g = est.values[node] + slopes[pos] * dx
+    gp = floored[pos]
     if scalar:
         return float(g[0]), float(gp[0])
     return g, gp
+
+
+def link_antiderivative(est: LinkEstimate, x) -> np.ndarray:
+    """Exact integral of eval_link's ghat from the left grid edge to x."""
+    slopes, _, gvals = est._pieces
+    pos, node, dx = _locate(est, np.atleast_1d(np.asarray(x, dtype=float)))
+    return gvals[node] + est.values[node] * dx + 0.5 * slopes[pos] * dx * dx

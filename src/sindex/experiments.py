@@ -15,7 +15,7 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -33,7 +33,7 @@ from .models import (
     sample_coefficients,
     sample_design,
 )
-from .pilot import fit_pilot, glm_mle_fit, least_squares_fit
+from .pilot import MLE_FAMILY, fit_pilot, glm_mle_fit, least_squares_fit
 from .pipeline import PipelineConfig, SplitConfig, run_pipeline
 
 EXPERIMENTS = ("figure1", "figure2", "figure3", "table1", "custom")
@@ -80,6 +80,12 @@ def _map_reps(fn, args_list, jobs: int):
         return [fn(*args) for args in args_list]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, *zip(*args_list)))
+
+
+def _with_split_seed(config: PipelineConfig, seedseq) -> PipelineConfig:
+    """config with its split seed drawn from seedseq."""
+    seed = int(seedseq.generate_state(1)[0])
+    return replace(config, split=replace(config.split, seed=seed))
 
 
 def _write_csv(path, header, rows) -> None:
@@ -235,41 +241,19 @@ def figure2(
 def _figure3_rep(model_name, n, p, config, scheme, seedseq) -> tuple:
     s_data, s_split = seedseq.spawn(2)
     x, y, beta, design = _simulate(model_name, n, p, scheme, s_data)
-    split = SplitConfig(
-        fraction=config.split.fraction,
-        no_split=config.split.no_split,
-        seed=int(s_split.generate_state(1)[0]),
-    )
-
-    def build(deconv):
-        return PipelineConfig(
-            pilot_kind=config.pilot_kind,
-            pilot_lam=config.pilot_lam,
-            deconv=deconv,
-            penalty=config.penalty,
-            penalty_lam=config.penalty_lam,
-            inference_mode=config.inference_mode,
-            alpha=config.alpha,
-            split=split,
-            fit_options=config.fit_options,
-        )
-
+    config = _with_split_seed(config, s_split)
     try:
-        report = run_pipeline(Dataset(x, y), build(config.deconv), design=design)
+        report = run_pipeline(Dataset(x, y), config, design=design)
     except PipelineError as err:
         if not isinstance(err.cause, KernelOverflowError):
             raise
         # A degenerate pilot (mu ~ 0) can blow up the index noise scale past
         # what the fixed bandwidth tolerates; the theory bandwidth scales
         # with the noise and keeps the kernel exponent bounded.
-        fallback = DeconvConfig(
-            grid=config.deconv.grid,
-            kernel=config.deconv.kernel,
-            bandwidth_mode="theory",
-            monotonizer=config.deconv.monotonizer,
-            deriv_floor=config.deconv.deriv_floor,
+        fallback = replace(config.deconv, bandwidth_mode="theory", h=None, c_h=None)
+        report = run_pipeline(
+            Dataset(x, y), replace(config, deconv=fallback), design=design
         )
-        report = run_pipeline(Dataset(x, y), build(fallback), design=design)
         fallback_used = True
     else:
         fallback_used = False
@@ -365,8 +349,6 @@ TABLE1_COMPETITORS = {
     "piecewise+": ("ls",),
 }
 
-_MLE_FAMILY = {"logit-mle": "logistic", "pois-mle": "poisson"}
-
 
 def _table1_rep(model_name, n, p, estimators, seedseq) -> dict:
     s_data, s_split = seedseq.spawn(2)
@@ -376,7 +358,7 @@ def _table1_rep(model_name, n, p, estimators, seedseq) -> dict:
         if kind == "ls":
             est = least_squares_fit(x, y)
         else:
-            est = glm_mle_fit(x, y, _MLE_FAMILY[kind])
+            est = glm_mle_fit(x, y, MLE_FAMILY[kind])
         out[kind] = effective_variance_oracle(est, beta)
     config = PipelineConfig(
         pilot_kind=PILOT_FOR_MODEL[model_name],
@@ -494,17 +476,7 @@ def _custom_experiment(spec: ExperimentSpec) -> dict:
     for rep, seedseq in enumerate(seeds):
         s_data, s_split = seedseq.spawn(2)
         x, y, beta, _ = _simulate(model_name, n, p, scheme, s_data)
-        rep_config = PipelineConfig.from_dict(doc)
-        if not rep_config.split.no_split:
-            rep_config = PipelineConfig.from_dict(
-                {
-                    **doc,
-                    "split": {
-                        **doc.get("split", {}),
-                        "seed": int(s_split.generate_state(1)[0]),
-                    },
-                }
-            )
+        rep_config = _with_split_seed(config, s_split)
         report = run_pipeline(Dataset(x, y), rep_config, design=design)
         ev = effective_variance_oracle(report.coef.beta, beta)
         eff_vars.append(ev)

@@ -16,6 +16,7 @@ from scipy.special import ndtr, ndtri
 
 from ._linalg import adjustment_trace
 from .errors import ConfigError, DegenerateError, InvalidDesignError
+from .pilot import observable_adjustments
 
 INFERENCE_MODES = ("ridge", "unregularized", "censored")
 
@@ -125,38 +126,25 @@ def adjust_inferential(
 ) -> Tuple[float, float]:
     """Estimate the inferential bias mu and variance sigma^2 of beta_hat.
 
-    ridge:          sigma^2 = kappa ||y - g(Xb)||^2 / (n (v + lam)^2),
-                    mu = | ||b||^2 - sigma^2 |^{1/2}
-    unregularized:  sigma^2 = kappa ||y - g(Xb)||^2 / (n v0^2),
-                    mu = | ||Xb||^2/n - (1 - kappa) sigma^2 |^{1/2}
-    censored:       as unregularized with the fitted indices clamped inside
-                    every norm and weight.
+    They are the observable adjustments (pilot.observable_adjustments) of
+    the fit with v = vhat.  The ridge mode uses lam and ||b||^2; the
+    unregularized mode uses lam = 0 and ||Xb||^2/n; the censored mode is the
+    unregularized one with the fitted indices clamped inside every norm and
+    weight.
     """
-    n, p = x.shape
-    kappa = p / n
-    if mode == "ridge":
-        if lam <= 0:
-            raise ConfigError("ridge mode needs lambda > 0")
-        v = vhat(x, beta_hat, gprime, lam=lam)
-        if v + lam == 0:
-            raise DegenerateError("v + lambda degenerated to zero")
-        resid = y - g(x @ beta_hat)
-        sigma2 = kappa * float(resid @ resid) / (n * (v + lam) ** 2)
-        mu = float(np.sqrt(abs(float(beta_hat @ beta_hat) - sigma2)))
-        return mu, sigma2
-    if mode in ("unregularized", "censored"):
-        if mode == "censored" and censor is None:
-            raise ConfigError("censored mode needs a censoring window")
-        window = censor if mode == "censored" else None
-        v = vhat(x, beta_hat, gprime, lam=0.0, censor=window)
-        if v == 0:
-            raise DegenerateError(f"{mode} v0 degenerated to zero")
-        z = x @ beta_hat if window is None else window.censor(x @ beta_hat)
-        resid = y - g(z)
-        sigma2 = kappa * float(resid @ resid) / (n * v ** 2)
-        mu = float(np.sqrt(abs(float(z @ z) / n - (1.0 - kappa) * sigma2)))
-        return mu, sigma2
-    raise ConfigError(f"unknown inference mode {mode!r}; choose from {INFERENCE_MODES}")
+    if mode not in INFERENCE_MODES:
+        raise ConfigError(
+            f"unknown inference mode {mode!r}; choose from {INFERENCE_MODES}"
+        )
+    if mode == "ridge" and lam <= 0:
+        raise ConfigError("ridge mode needs lambda > 0")
+    if mode == "censored" and censor is None:
+        raise ConfigError("censored mode needs a censoring window")
+    lam = lam if mode == "ridge" else 0.0
+    window = censor if mode == "censored" else None
+    v = vhat(x, beta_hat, gprime, lam=lam, censor=window)
+    adj = observable_adjustments(x, y, beta_hat, g, v, lam, window)
+    return adj.mu, adj.sigma2
 
 
 def marginal_inference(

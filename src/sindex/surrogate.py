@@ -10,11 +10,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from ._linalg import weighted_gram
-from .deconv import LinkEstimate, eval_link
+from .deconv import (
+    LinkEstimate,
+    build_antiderivative,
+    eval_link,
+    link_antiderivative,
+)
 from .errors import (
     ConfigError,
     NonConvergenceError,
@@ -24,52 +28,6 @@ from .errors import (
 from .models import LinkFunction
 
 PENALTIES = ("none", "ridge")
-
-
-def build_antiderivative(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Antiderivative values at the grid nodes, zero at the left edge.
-
-    The cumulative trapezoid rule is the exact integral of the
-    piecewise-linear interpolant of (xs, vs).
-    """
-    xs = np.asarray(xs, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    return cumulative_trapezoid(vs, xs, initial=0.0)
-
-
-class _GridLink:
-    """Piecewise-linear link from a grid estimate with its exact integral."""
-
-    def __init__(self, est: LinkEstimate):
-        self.est = est
-        self.xs = est.grid
-        self.vs = est.values
-        self.slopes = np.diff(est.values) / np.diff(est.grid)
-        self.gvals = build_antiderivative(est.grid, est.values)
-        self.lo_slope = max(self.slopes[0], est.deriv_floor)
-        self.hi_slope = max(self.slopes[-1], est.deriv_floor)
-
-    def g(self, t):
-        return eval_link(self.est, t)[0]
-
-    def gprime(self, t):
-        return eval_link(self.est, t)[1]
-
-    def antideriv(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        xs, vs = self.xs, self.vs
-        cell = np.clip(np.searchsorted(xs, t, side="right") - 1, 0, len(xs) - 2)
-        dx = t - xs[cell]
-        out = self.gvals[cell] + vs[cell] * dx + 0.5 * self.slopes[cell] * dx * dx
-        below = t < xs[0]
-        above = t > xs[-1]
-        dxb = t[below] - xs[0]
-        out[below] = vs[0] * dxb + 0.5 * self.lo_slope * dxb * dxb
-        dxa = t[above] - xs[-1]
-        out[above] = (
-            self.gvals[-1] + vs[-1] * dxa + 0.5 * self.hi_slope * dxa * dxa
-        )
-        return out
 
 
 @dataclass(frozen=True)
@@ -99,11 +57,10 @@ class SurrogateProblem:
     def from_link_estimate(
         cls, est: LinkEstimate, penalty: str = "none", lam: float = 0.0
     ) -> "SurrogateProblem":
-        grid_link = _GridLink(est)
         return cls(
-            g=grid_link.g,
-            gprime=grid_link.gprime,
-            antideriv=grid_link.antideriv,
+            g=lambda t: eval_link(est, t)[0],
+            gprime=lambda t: eval_link(est, t)[1],
+            antideriv=lambda t: link_antiderivative(est, t),
             penalty=penalty,
             lam=lam,
         )
@@ -119,19 +76,13 @@ class SurrogateProblem:
     ) -> "SurrogateProblem":
         """Wrap a built-in link; falls back to a fine-grid antiderivative
         when no closed form is attached."""
-        if link.antideriv is not None:
-            return cls(
-                g=link.value,
-                gprime=link.deriv,
-                antideriv=link.antideriv,
-                penalty=penalty,
-                lam=lam,
-            )
-        xs = np.linspace(window[0], window[1], points)
-        gvals = build_antiderivative(xs, link.value(xs))
+        antideriv = link.antideriv
+        if antideriv is None:
+            xs = np.linspace(window[0], window[1], points)
+            gvals = build_antiderivative(xs, link.value(xs))
 
-        def antideriv(t):
-            return np.interp(t, xs, gvals)
+            def antideriv(t):
+                return np.interp(t, xs, gvals)
 
         return cls(
             g=link.value,

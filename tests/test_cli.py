@@ -8,8 +8,10 @@ import pytest
 
 from sindex.cli import dataset_to_csv, ingest_csv, main
 from sindex.errors import DataError
-from sindex.experiments import figure2
-from sindex.models import Dataset
+from sindex.experiments import ExperimentSpec, _simulate, figure2, run_experiment
+from sindex.inference import effective_variance_oracle
+from sindex.models import Dataset, DesignSpec
+from sindex.pipeline import PipelineConfig, SplitConfig, run_pipeline
 
 
 def write(path, text):
@@ -162,6 +164,42 @@ def test_experiment_outputs_deterministic(tmp_path):
     figure2(str(out2), ns=(64,), reps=1, seed=99)
     for name in ("figure2_losses.csv", "figure2_mean_loss.csv", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_experiment_outputs_identical_across_jobs(tmp_path):
+    names = ("figure2_losses.csv", "figure2_mean_loss.csv", "manifest.json")
+    outputs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        figure2(str(out), ns=(64, 128), reps=4, seed=99, jobs=jobs)
+        outputs.append([(out / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]
+
+
+def test_custom_experiment_rows_equal_direct_runs(tmp_path):
+    doc = {"pilot": {"kind": "ridge", "lambda": 1.0}, "split": {"fraction": 0.5}}
+    spec = ExperimentSpec(
+        name="custom",
+        out_dir=str(tmp_path),
+        reps=3,
+        seed=11,
+        custom_config={"model": "cloglog", "n": 200, "p": 40, **doc},
+    )
+    run_experiment(spec)
+    lines = (tmp_path / "custom_replications.csv").read_text().splitlines()
+    design = DesignSpec.identity(40)
+    expected = []
+    for rep, seedseq in enumerate(np.random.SeedSequence(11).spawn(3)):
+        s_data, s_split = seedseq.spawn(2)
+        x, y, beta, _ = _simulate("cloglog", 200, 40, "uniform-sphere", s_data)
+        seed = int(s_split.generate_state(1)[0])
+        config = PipelineConfig(split=SplitConfig(fraction=0.5, seed=seed))
+        report = run_pipeline(Dataset(x, y), config, design=design)
+        inf = report.inference
+        ev = effective_variance_oracle(report.coef.beta, beta)
+        values = (inf.mu_hat, inf.sigma2_hat, ev)
+        expected.append(",".join([str(rep)] + [repr(float(v)) for v in values]))
+    assert lines == ["rep,mu_hat,sigma2_hat,effective_variance"] + expected
 
 
 def test_experiment_csv_headers(fig1_result):

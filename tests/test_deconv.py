@@ -15,6 +15,7 @@ from sindex.deconv import (
     default_grid,
     estimate_link,
     eval_link,
+    link_antiderivative,
     nw_deconv_grid,
     select_bandwidth,
 )
@@ -173,6 +174,30 @@ def test_eval_link_grid_nodes_exact():
     for k in (0, 57, 150, 300):
         g, _ = eval_link(link, link.grid[k])
         assert g == link.values[k]
+
+
+def test_reported_derivative_is_the_fitted_one():
+    # link.csv and report.json carry the derivative the surrogate fit uses.
+    gen = np.random.default_rng(8)
+    w = gen.standard_normal(200)
+    y = np.where(w > 0.5, 1.0, 0.0) + 0.1 * gen.standard_normal(200)
+    cfg = DeconvConfig(bandwidth_mode="fixed", h=0.3)
+    link = estimate_link(IndexEstimate(w=w, varsigma2=0.02), y, cfg)
+    assert np.array_equal(eval_link(link, link.grid)[1], link.deriv)
+    assert np.any(link.deriv == link.deriv_floor)
+
+
+def test_link_antiderivative_integrates_eval_link():
+    w = np.random.default_rng(9).standard_normal(200)
+    cfg = DeconvConfig(bandwidth_mode="fixed", h=0.5)
+    link = estimate_link(IndexEstimate(w=w, varsigma2=0.02), w ** 3, cfg)
+    for a, b in ((-5.0, -3.5), (-3.2, 1.7), (0.3, 2.9), (2.5, 6.0)):
+        # The trapezoid rule is exact for ghat between consecutive nodes.
+        nodes = link.grid[(link.grid > a) & (link.grid < b)]
+        ts = np.concatenate(([a], nodes, [b]))
+        reference = np.trapezoid(eval_link(link, ts)[0], ts)
+        exact = link_antiderivative(link, b)[0] - link_antiderivative(link, a)[0]
+        assert exact == pytest.approx(reference, rel=1e-12, abs=1e-12)
 
 
 def test_eval_link_extrapolation_hand_trace():

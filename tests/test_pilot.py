@@ -2,17 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 
 from sindex.errors import ConfigError, DegenerateError, NonexistenceError, NonIdentifiableError
+from sindex.inference import CensoredAdjustment
 from sindex.models import DesignSpec, generate_responses, model_lookup, sample_coefficients, sample_design
 from sindex.pilot import (
     fit_pilot,
     glm_mle_fit,
-    glm_vtilde,
     least_squares_fit,
+    observable_adjustments,
     pilot_adjustments,
     ridge_fit,
-    _glm_newton,
 )
 
 rng = np.random.default_rng(101)
@@ -100,11 +102,14 @@ def test_glm_stationarity_contract():
     assert np.max(np.abs(grad)) < 1e-8
 
 
-def test_glm_objective_monotone_on_accepted_steps():
-    x = rng.standard_normal((100, 4))
-    y = rng.poisson(np.exp(0.3 * x[:, 0])).astype(float)
-    _, path, _, _ = _glm_newton(x, y, "poisson", 1e-8, 100, 1e6, 30)
-    assert all(b <= a + 1e-9 for a, b in zip(path, path[1:]))
+def test_mle_pilot_needs_n_gt_p():
+    # A numerical failure (exit code 3), not a configuration error.
+    x = np.random.default_rng(7).standard_normal((6, 8))
+    y = (x[:, 0] > 0).astype(float)
+    with pytest.raises(NonIdentifiableError):
+        fit_pilot(x, y, "logit-mle")
+    with pytest.raises(NonIdentifiableError):
+        glm_mle_fit(x, np.ones(6), "poisson")
 
 
 def test_glm_family_validation():
@@ -130,11 +135,6 @@ def test_ls_gamma_at_half_kappa():
     adj = pilot_adjustments(beta, x, y, "ls")
     assert adj.kappa == pytest.approx(0.5)
     assert adj.gamma == pytest.approx(1.0)
-
-
-def test_mle_trace_with_unit_weights():
-    x = rng.standard_normal((40, 8))
-    assert glm_vtilde(x, np.ones(40)) == pytest.approx(1 - 8 / 40, abs=1e-12)
 
 
 def test_ridge_v_in_unit_interval_and_ridgeless_limit():
@@ -195,3 +195,73 @@ def test_pilot_mu_concentrates_on_oracle():
         fit = fit_pilot(x, y, "ls")
         devs.append(abs(fit.adjustments.mu - beta @ fit.beta))
     assert np.mean(devs) < 0.1
+
+
+def dense_v(x, weights, lam):
+    """n^{-1} tr(D - DX(X'DX + n lam I)^{-1}X'D) by a dense inverse."""
+    n, p = x.shape
+    d = np.diag(weights)
+    inner = np.linalg.inv(x.T @ d @ x + n * lam * np.eye(p))
+    return np.trace(d - d @ x @ inner @ x.T @ d) / n
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(("ridge", "ls", "logit-mle", "pois-mle", "censored")),
+    n=st.integers(20, 40),
+    kappa=st.floats(0.1, 0.6),
+    lam=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_observable_adjustments_match_written_out_formulas(kind, n, kappa, lam, seed):
+    # The pilots' and the censored refit's adjustments, each against its
+    # own formula with v from a dense inverse.
+    gen = np.random.default_rng(seed)
+    p = max(1, int(kappa * n))
+    kappa = p / n
+    x = gen.standard_normal((n, p))
+    b = gen.standard_normal(p) / np.sqrt(p)
+    xb = x @ b
+    if kind == "ridge":
+        y = xb + gen.standard_normal(n)
+        adj = pilot_adjustments(b, x, y, "ridge", lam=lam)
+        v = dense_v(x, np.ones(n), lam)
+        gamma = kappa / (v + lam)
+        sigma2 = kappa * np.sum((y - xb) ** 2) / (n * (v + lam) ** 2)
+        terms = (b @ b, sigma2)
+    elif kind == "ls":
+        y = xb + gen.standard_normal(n)
+        adj = pilot_adjustments(b, x, y, "ls")
+        v = dense_v(x, np.ones(n), 0.0)  # 1 - kappa
+        gamma = kappa / (1 - kappa)
+        sigma2 = gamma * np.sum((y - xb) ** 2) / (n * (1 - kappa))
+        terms = (xb @ xb / n, (1 - kappa) * sigma2)
+    elif kind in ("logit-mle", "pois-mle"):
+        if kind == "logit-mle":
+            mean, weights = expit(xb), expit(xb) * (1 - expit(xb))
+            y = (gen.random(n) < mean).astype(float)
+        else:
+            mean = weights = np.exp(xb)
+            y = gen.poisson(mean).astype(float)
+        adj = pilot_adjustments(b, x, y, kind)
+        v = dense_v(x, weights, 0.0)
+        gamma = kappa / v
+        sigma2 = kappa * np.sum((y - mean) ** 2) / (n * v ** 2)
+        terms = (xb @ xb / n, (1 - kappa) * sigma2)
+    else:
+        y = np.exp(0.5 * xb) + gen.standard_normal(n)
+        window = CensoredAdjustment(-0.5, 0.5)
+        z = np.clip(xb, -0.5, 0.5)
+        v = dense_v(x, 0.5 * np.exp(0.5 * z), 0.0)
+        adj = observable_adjustments(
+            x, y, b, lambda t: np.exp(0.5 * t), v, censor=window
+        )
+        gamma = kappa / v
+        sigma2 = kappa * np.sum((y - np.exp(0.5 * z)) ** 2) / (n * v ** 2)
+        terms = (z @ z / n, (1 - kappa) * sigma2)
+    assert adj.kappa == kappa
+    assert adj.v == pytest.approx(v, rel=1e-10)
+    assert adj.gamma == pytest.approx(gamma, rel=1e-10)
+    assert adj.sigma2 == pytest.approx(sigma2, rel=1e-10)
+    # mu^2 is |difference of the two terms|, which may cancel.
+    assert abs(adj.mu ** 2 - abs(terms[0] - terms[1])) <= 1e-10 * sum(terms)

@@ -1,8 +1,13 @@
 """Data splitting and end-to-end pipeline runs."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import sindex
 from sindex.errors import ConfigError, PipelineError, SplitError
 from sindex.experiments import _map_reps
 from sindex.models import (
@@ -162,3 +167,18 @@ def test_censored_mode_runs():
     report = run_pipeline(data, config, design=spec)
     assert report.inference.mode == "censored"
     assert np.isfinite(report.inference.sigma2_hat)
+
+
+@pytest.mark.parametrize(
+    "module", ["pilot", "surrogate", "deconv", "debias", "inference"]
+)
+def test_module_imports_first_in_fresh_interpreter(module):
+    # Guards against import cycles that only show for one import order.
+    src = os.path.dirname(os.path.dirname(sindex.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    code = f"import sindex.{module}; from sindex.debias import IndexEstimate"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
