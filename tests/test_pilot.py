@@ -5,10 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
-from sindex.errors import ConfigError, DegenerateError, NonexistenceError, NonIdentifiableError
+from sindex.errors import (
+    ConfigError,
+    DegenerateError,
+    NonConvergenceError,
+    NonexistenceError,
+    NonIdentifiableError,
+)
 from sindex.inference import CensoredAdjustment
 from sindex.models import DesignSpec, generate_responses, model_lookup, sample_coefficients, sample_design
 from sindex.pilot import (
+    GLM_LINKS,
     fit_pilot,
     glm_mle_fit,
     least_squares_fit,
@@ -16,6 +23,7 @@ from sindex.pilot import (
     pilot_adjustments,
     ridge_fit,
 )
+from sindex.surrogate import FitOptions, SurrogateProblem, fit_coefficients, surrogate_objective
 
 rng = np.random.default_rng(101)
 
@@ -100,6 +108,24 @@ def test_glm_stationarity_contract():
 
     grad = x.T @ (expit(x @ beta) - y)
     assert np.max(np.abs(grad)) < 1e-8
+
+
+def test_glm_objective_monotone_on_accepted_steps():
+    # The Poisson MLE is the surrogate Newton fit with the canonical link;
+    # rerunning it with growing iteration caps gives nonincreasing negative
+    # log-likelihoods, and the uncapped fit is glm_mle_fit's answer.
+    x = rng.standard_normal((100, 4))
+    y = rng.poisson(np.exp(0.3 * x[:, 0])).astype(float)
+    prob = SurrogateProblem.from_link_function(GLM_LINKS["poisson"])
+    path = []
+    for cap in (1, 2, 3, 5, 8, 30):
+        try:
+            beta = fit_coefficients(x, y, prob, FitOptions(max_iter=cap)).beta
+        except NonConvergenceError as err:
+            beta = err.beta
+        path.append(surrogate_objective(beta, x, y, prob)[0])
+    assert all(b <= a + 1e-9 for a, b in zip(path, path[1:]))
+    assert np.array_equal(beta, glm_mle_fit(x, y, "poisson"))
 
 
 def test_mle_pilot_needs_n_gt_p():
