@@ -41,26 +41,34 @@ def ingest_csv(path, response: str) -> Dataset:
                 f"response column {response!r} not found; file has {header}"
             )
         y_col = header.index(response)
-        x_rows, y_vals = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            values = []
-            for name, cell in zip(header, row):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{line_no}: non-numeric cell {cell!r} "
-                        f"in column {name!r}"
-                    ) from None
-            y_vals.append(values.pop(y_col))
-            x_rows.append(values)
-    if not x_rows:
+        rows = list(reader)
+    if not rows:
         raise DataError(f"{path} has a header but no data rows")
-    return Dataset(np.asarray(x_rows), np.asarray(y_vals))
+    try:
+        table = np.array(rows, dtype=float)
+    except ValueError:  # a ragged row or a non-numeric cell
+        table = None
+    if table is None or table.shape[1] != len(header):
+        _raise_bad_row(path, header, rows)
+    return Dataset(np.delete(table, y_col, axis=1), table[:, y_col].copy())
+
+
+def _raise_bad_row(path, header, rows) -> None:
+    """Raise the DataError naming the first row of the wrong length or the
+    first cell that float() rejects, with its line and column."""
+    for line_no, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
+            )
+        for name, cell in zip(header, row):
+            try:
+                float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}:{line_no}: non-numeric cell {cell!r} "
+                    f"in column {name!r}"
+                ) from None
 
 
 def dataset_to_csv(data: Dataset, path, response: str = "y") -> None:
@@ -68,8 +76,8 @@ def dataset_to_csv(data: Dataset, path, response: str = "y") -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([f"x{j + 1}" for j in range(data.p)] + [response])
-        for row, y in zip(data.x, data.y):
-            writer.writerow([repr(float(v)) for v in row] + [repr(float(y))])
+        for row, y in zip(data.x.tolist(), data.y.tolist()):
+            writer.writerow([repr(v) for v in row] + [repr(y)])
 
 
 def _load_config(args) -> PipelineConfig:

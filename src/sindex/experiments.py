@@ -105,9 +105,10 @@ def _write_manifest(out_dir, manifest) -> None:
         handle.write("\n")
 
 
-def _simulate(model_name, n, p, scheme, seedseq):
-    """One synthetic dataset; returns (X, y, beta, design)."""
-    design = DesignSpec.identity(p)
+def _simulate(model_name, n, p, scheme, seedseq, design=None):
+    """One synthetic dataset with rows drawn from N_p(0, Sigma) of `design`
+    (identity when omitted); returns (X, y, beta, design)."""
+    design = DesignSpec.identity(p) if design is None else design
     s_beta, s_x, s_y = seedseq.spawn(3)
     beta = sample_coefficients(p, scheme, design, s_beta)
     x = sample_design(n, design, s_x)
@@ -475,7 +476,7 @@ def _custom_experiment(spec: ExperimentSpec) -> dict:
     eff_vars = []
     for rep, seedseq in enumerate(seeds):
         s_data, s_split = seedseq.spawn(2)
-        x, y, beta, _ = _simulate(model_name, n, p, scheme, s_data)
+        x, y, beta, _ = _simulate(model_name, n, p, scheme, s_data, design)
         rep_config = _with_split_seed(config, s_split)
         report = run_pipeline(Dataset(x, y), rep_config, design=design)
         ev = effective_variance_oracle(report.coef.beta, beta)

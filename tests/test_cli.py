@@ -2,9 +2,12 @@
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sindex.cli import dataset_to_csv, ingest_csv, main
 from sindex.errors import DataError
@@ -176,6 +179,26 @@ def test_experiment_outputs_identical_across_jobs(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(1, 12), st.integers(1, 6)).flatmap(
+        lambda shape: arrays(
+            np.float64,
+            (shape[0], shape[1] + 1),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+)
+def test_csv_round_trip_is_bit_identical(table):
+    data = Dataset(table[:, :-1], table[:, -1])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rt.csv")
+        dataset_to_csv(data, path)
+        back = ingest_csv(path, "y")
+    assert back.x.tobytes() == data.x.tobytes()
+    assert back.y.tobytes() == data.y.tobytes()
+
+
 def test_custom_experiment_rows_equal_direct_runs(tmp_path):
     doc = {"pilot": {"kind": "ridge", "lambda": 1.0}, "split": {"fraction": 0.5}}
     spec = ExperimentSpec(
@@ -200,6 +223,27 @@ def test_custom_experiment_rows_equal_direct_runs(tmp_path):
         values = (inf.mu_hat, inf.sigma2_hat, ev)
         expected.append(",".join([str(rep)] + [repr(float(v)) for v in values]))
     assert lines == ["rep,mu_hat,sigma2_hat,effective_variance"] + expected
+
+
+def test_custom_experiment_draws_from_its_covariance(tmp_path):
+    outputs = []
+    for name, sigma in (("identity", "identity"), ("scaled", (4.0 * np.eye(20)).tolist())):
+        spec = ExperimentSpec(
+            name="custom",
+            out_dir=str(tmp_path / name),
+            reps=2,
+            seed=3,
+            custom_config={
+                "model": "cloglog",
+                "n": 200,
+                "p": 20,
+                "sigma": sigma,
+                "pilot": {"kind": "ls"},
+            },
+        )
+        run_experiment(spec)
+        outputs.append((tmp_path / name / "custom_replications.csv").read_bytes())
+    assert outputs[0] != outputs[1]
 
 
 def test_experiment_csv_headers(fig1_result):

@@ -11,6 +11,7 @@ from sindex.deconv import (
     DeconvConfig,
     KERNELS,
     TRIWEIGHT_KERNEL,
+    _kernel_coefficients,
     deconv_kernel_eval,
     default_grid,
     estimate_link,
@@ -50,9 +51,74 @@ def test_kernel_integrates_to_one():
     assert np.trapezoid(vals, xs) == pytest.approx(1.0, abs=1e-3)
 
 
-def test_kernel_node_precondition():
-    with pytest.raises(ConfigError):
-        deconv_kernel_eval(0.0, 0.5, 0.1, nodes=32)
+def _panel_reference(spec, c, nodes=1024):
+    """Nodes t and coefficients psi of the kernel integral with exponent
+    c t^2, by a 2 x nodes Gauss-Legendre rule split at 1/2."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    t = np.concatenate([0.25 * (x + 1.0), 0.5 + 0.25 * (x + 1.0)])
+    w = np.concatenate([0.25 * w, 0.25 * w])
+    return t, w * spec.fourier(t) * np.exp(c * t * t) / np.pi
+
+
+@pytest.mark.parametrize("label", ["triweight", "flattop"])
+def test_kernel_rule_matches_panel_reference(label):
+    # Relative to int phi exp(c t^2), the sized rule is within 1e-11 of the
+    # reference at every phase up to omega.
+    spec = KERNELS[label]
+    worst = 0.0
+    for c in (0.0, 0.5, 2.0, 10.0, 30.0, 100.0):
+        t_ref, psi_ref = _panel_reference(spec, c)
+        scale = psi_ref.sum()
+        for omega in (0.0, 3.0, 17.0, 60.0, 150.0, 420.0, 1000.0):
+            t, psi = _kernel_coefficients(1.0, np.sqrt(2.0 * c), spec, omega)
+            u = np.linspace(0.0, omega, 500)
+            got = np.cos(np.multiply.outer(u, t)) @ psi
+            ref = np.cos(np.multiply.outer(u, t_ref)) @ psi_ref
+            worst = max(worst, np.max(np.abs(got - ref)) / scale)
+    assert worst <= 1e-11
+
+
+def test_kernel_rule_size_is_capped():
+    # A far evaluation point must not ask leggauss for 10^6 nodes.
+    t, _ = _kernel_coefficients(0.5, 0.2, KERNELS["flattop"], 4e6)
+    assert len(t) == 2 * 512
+    vals = deconv_kernel_eval(np.array([0.0, 4e6]), 0.5, 0.2)
+    assert np.all(np.isfinite(vals))
+
+
+def _nw_ratio(t, psi, grid, w, y, h):
+    """The NW ratio on the grid from kernel values summed point by point."""
+    out = []
+    for x in grid:
+        k = psi @ np.cos(np.multiply.outer(t, (x - w) / h))
+        out.append(k @ y / k.sum())
+    return np.array(out)
+
+
+def test_flattop_grid_closer_to_reference_than_single_256_panel():
+    # table1's shape: n = 2000 logit responses, varsigma^2 about 0.12, theory
+    # bandwidth, so c = 0.225 log n and omega near 40.
+    n, varsigma2 = 2000, 0.12
+    gen = np.random.default_rng(5)
+    w = gen.standard_normal(n) + np.sqrt(varsigma2) * gen.standard_normal(n)
+    y = (gen.random(n) < 1.0 / (1.0 + np.exp(-w))).astype(float)
+    spec = KERNELS["flattop"]
+    varsigma = np.sqrt(varsigma2)
+    h = select_bandwidth(n, varsigma, spec)
+    c = (varsigma / h) ** 2 / 2.0
+    cfg = DeconvConfig(grid=default_grid(-3.0, 3.0, 31), kernel=spec)
+    raw, valid = nw_deconv_grid(IndexEstimate(w=w, varsigma2=varsigma2), y, h, cfg)
+    assert np.all(valid)
+
+    reference = _nw_ratio(*_panel_reference(spec, c, nodes=512), cfg.grid, w, y, h)
+    x, wx = np.polynomial.legendre.leggauss(256)  # the former rule
+    t_old = 0.5 * (x + 1.0)
+    psi_old = 0.5 * wx * spec.fourier(t_old) * np.exp(c * t_old**2) / np.pi
+    old = _nw_ratio(t_old, psi_old, cfg.grid, w, y, h)
+    new_err = np.max(np.abs(raw - reference))
+    old_err = np.max(np.abs(old - reference))
+    assert new_err < old_err
+    assert new_err <= 1e-12
 
 
 def test_kernel_overflow_error():

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sindex
 from sindex.errors import ConfigError, PipelineError, SplitError
@@ -79,6 +80,34 @@ def test_pipeline_bit_identical_reruns():
     a = run_pipeline(data, config, design=spec)
     b = run_pipeline(data, config, design=spec)
     assert a.to_json() == b.to_json()
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(80, 300),
+    p=st.integers(5, 60),
+    model=st.sampled_from(["cloglog", "logit"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_no_split_fit_invariant_to_row_order(n, p, model, seed):
+    data, _, spec = make_data(n=n, p=p, model=model, seed=seed)
+    order = np.random.default_rng(seed).permutation(n)
+    config = PipelineConfig(split=SplitConfig(no_split=True))
+    outcomes = []
+    for x, y in ((data.x, data.y), (data.x[order], data.y[order])):
+        try:
+            outcomes.append(run_pipeline(Dataset(x, y), config, design=spec))
+        except PipelineError as err:
+            outcomes.append(err.stage)
+    a, b = outcomes
+    if isinstance(a, str) or isinstance(b, str):
+        assert a == b
+        return
+    assert np.allclose(a.coef.beta, b.coef.beta, rtol=1e-8, atol=1e-12)
+    ia, ib = a.inference, b.inference
+    assert ia.mu_hat == pytest.approx(ib.mu_hat, rel=1e-8)
+    assert ia.sigma2_hat == pytest.approx(ib.sigma2_hat, rel=1e-8)
+    assert np.allclose(ia.t_stats, ib.t_stats, rtol=1e-8, atol=1e-8)
 
 
 def test_no_split_matches_manual_full_index():
