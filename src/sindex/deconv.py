@@ -159,6 +159,27 @@ class LinkEstimate:
             build_antiderivative(self.grid, self.values),
         )
 
+    def evaluate(self, x: np.ndarray):
+        """Antiderivative, value and derivative at the points of x:
+        (G, ghat, ghat').
+
+        Piecewise-linear inside the window, linear beyond it with the
+        floored boundary slope; G is the exact integral of ghat from the
+        left grid edge, and ghat' is the local slope, never below the floor.
+        """
+        slopes, floored, gvals = self._pieces
+        # Anchor each point at the left node of its cell, or beyond the
+        # window at the nearest end node.
+        pos = np.searchsorted(self.grid, x, side="right")
+        node = np.maximum(pos - 1, 0)
+        dx = x - self.grid[node]
+        base, slope = self.values[node], slopes[pos]
+        return (
+            gvals[node] + base * dx + 0.5 * slope * dx * dx,
+            base + slope * dx,
+            floored[pos],
+        )
+
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -378,38 +399,11 @@ def estimate_link(
     return replace(link, deriv=eval_link(link, link.grid)[1])
 
 
-def _locate(est: LinkEstimate, x: np.ndarray):
-    """Slope index, anchor node and offset from it for every point of x.
-
-    Inside the window the anchor is the left node of the point's cell;
-    beyond it, the nearest end node, where the floored end slope continues
-    the link linearly.
-    """
-    pos = np.searchsorted(est.grid, x, side="right")
-    node = np.maximum(pos - 1, 0)
-    return pos, node, x - est.grid[node]
-
-
 def eval_link(est: LinkEstimate, x):
-    """Evaluate (ghat, ghat') at x (scalar or array).
-
-    Piecewise-linear inside the window, linear beyond it with the floored
-    boundary slope; the reported derivative is the local slope, never below
-    the floor.
-    """
+    """Evaluate (ghat, ghat') at x (scalar or array): LinkEstimate.evaluate
+    without the antiderivative."""
     x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    slopes, floored, _ = est._pieces
-    pos, node, dx = _locate(est, np.atleast_1d(x_arr))
-    g = est.values[node] + slopes[pos] * dx
-    gp = floored[pos]
-    if scalar:
+    _, g, gp = est.evaluate(np.atleast_1d(x_arr))
+    if x_arr.ndim == 0:
         return float(g[0]), float(gp[0])
     return g, gp
-
-
-def link_antiderivative(est: LinkEstimate, x) -> np.ndarray:
-    """Exact integral of eval_link's ghat from the left grid edge to x."""
-    slopes, _, gvals = est._pieces
-    pos, node, dx = _locate(est, np.atleast_1d(np.asarray(x, dtype=float)))
-    return gvals[node] + est.values[node] * dx + 0.5 * slopes[pos] * dx * dx

@@ -9,7 +9,7 @@ the adjustment formulas).
 import csv
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -17,6 +17,7 @@ from scipy.special import ndtr, ndtri
 from ._linalg import adjustment_trace
 from .errors import ConfigError, DegenerateError, InvalidDesignError
 from .pilot import observable_adjustments
+from .surrogate import WorkingLink
 
 INFERENCE_MODES = ("ridge", "unregularized", "censored")
 
@@ -96,11 +97,12 @@ class InferenceReport:
 def vhat(
     x: np.ndarray,
     beta_hat: np.ndarray,
-    gprime: Callable[[np.ndarray], np.ndarray],
+    link: WorkingLink,
     lam: float = 0.0,
     censor: Optional[CensoredAdjustment] = None,
 ) -> float:
-    """n^{-1} tr(D - D X (X'DX + n lam I)^{-1} X'D), D = diag(g'(X beta)).
+    """n^{-1} tr(D - D X (X'DX + n lam I)^{-1} X'D), D = diag(g'(X beta)),
+    with g' from link.evaluate.
 
     The censored variant evaluates g' at the clamped fitted indices.
     """
@@ -110,7 +112,7 @@ def vhat(
     z = x @ beta_hat
     if censor is not None:
         z = censor.censor(z)
-    weights = np.asarray(gprime(z), dtype=float)
+    weights = np.asarray(link.evaluate(z)[2], dtype=float)
     return adjustment_trace(x, weights, n * lam) / n
 
 
@@ -118,8 +120,7 @@ def adjust_inferential(
     x: np.ndarray,
     y: np.ndarray,
     beta_hat: np.ndarray,
-    g: Callable[[np.ndarray], np.ndarray],
-    gprime: Callable[[np.ndarray], np.ndarray],
+    link: WorkingLink,
     mode: str = "unregularized",
     lam: float = 0.0,
     censor: Optional[CensoredAdjustment] = None,
@@ -127,10 +128,10 @@ def adjust_inferential(
     """Estimate the inferential bias mu and variance sigma^2 of beta_hat.
 
     They are the observable adjustments (pilot.observable_adjustments) of
-    the fit with v = vhat.  The ridge mode uses lam and ||b||^2; the
-    unregularized mode uses lam = 0 and ||Xb||^2/n; the censored mode is the
-    unregularized one with the fitted indices clamped inside every norm and
-    weight.
+    the fit with working link `link` and v = vhat.  The ridge mode uses lam
+    and ||b||^2; the unregularized mode uses lam = 0 and ||Xb||^2/n; the
+    censored mode is the unregularized one with the fitted indices clamped
+    inside every norm and weight.
     """
     if mode not in INFERENCE_MODES:
         raise ConfigError(
@@ -142,8 +143,8 @@ def adjust_inferential(
         raise ConfigError("censored mode needs a censoring window")
     lam = lam if mode == "ridge" else 0.0
     window = censor if mode == "censored" else None
-    v = vhat(x, beta_hat, gprime, lam=lam, censor=window)
-    adj = observable_adjustments(x, y, beta_hat, g, v, lam, window)
+    v = vhat(x, beta_hat, link, lam=lam, censor=window)
+    adj = observable_adjustments(x, y, beta_hat, link, v, lam, window)
     return adj.mu, adj.sigma2
 
 

@@ -6,7 +6,7 @@ shift).  Designs are Gaussian with a caller-supplied SPD covariance.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.special import exp1, expit
@@ -88,16 +88,20 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class LinkFunction:
-    """Monotone link: the map itself, its derivative, and (where a closed
-    form exists) an antiderivative for use in the surrogate loss."""
+    """Monotone link: the map itself, its derivative, and a closed-form
+    antiderivative for use in the surrogate loss."""
 
     label: str
     value: Callable[[np.ndarray], np.ndarray]
     deriv: Callable[[np.ndarray], np.ndarray]
-    antideriv: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    antideriv: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, t):
         return self.value(t)
+
+    def evaluate(self, t):
+        """Antiderivative, value and derivative at t: (G, g, g')."""
+        return self.antideriv(t), self.value(t), self.deriv(t)
 
 
 @dataclass(frozen=True)

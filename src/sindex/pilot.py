@@ -8,7 +8,7 @@ refit's inferential parameters.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
@@ -23,7 +23,7 @@ from .errors import (
     SolverError,
 )
 from .models import EXP_LINK, IDENTITY_LINK, LOGISTIC_LINK
-from .surrogate import SurrogateProblem, fit_coefficients
+from .surrogate import SurrogateProblem, WorkingLink, fit_coefficients
 
 PILOT_KINDS = ("ridge", "ls", "logit-mle", "pois-mle")
 
@@ -111,7 +111,7 @@ def glm_mle_fit(x: np.ndarray, y: np.ndarray, family: str) -> np.ndarray:
         raise ConfigError("poisson family needs nonnegative integer responses")
     if x.shape[0] <= x.shape[1]:
         raise NonIdentifiableError(f"{family} MLE needs n > p")
-    prob = SurrogateProblem.from_link_function(GLM_LINKS[family])
+    prob = SurrogateProblem(GLM_LINKS[family])
     try:
         beta, failure = fit_coefficients(x, y, prob).beta, None
     except NonConvergenceError as err:
@@ -139,12 +139,13 @@ def observable_adjustments(
     x: np.ndarray,
     y: np.ndarray,
     beta: np.ndarray,
-    g: Callable[[np.ndarray], np.ndarray],
+    link: WorkingLink,
     v: float,
     lam: float = 0.0,
     censor=None,
 ) -> Adjustments:
-    """Observable adjustments of an M-estimator b with working link g.
+    """Observable adjustments of an M-estimator b with working link g, from
+    link.evaluate.
 
     v = n^{-1} tr(D - DX(X'DX + n lam I)^{-1}X'D), D = diag(g'(z)), comes
     from the caller; z = X b, clamped by censor.censor when a censor is
@@ -161,7 +162,7 @@ def observable_adjustments(
     z = x @ beta
     if censor is not None:
         z = censor.censor(z)
-    resid = y - g(z)
+    resid = y - link.evaluate(z)[1]
     gamma = kappa / (v + lam)
     sigma2 = kappa * float(resid @ resid) / (n * (v + lam) ** 2)
     if lam > 0:
@@ -197,13 +198,13 @@ def pilot_adjustments(
         if lam is None or lam <= 0:
             raise ConfigError("ridge adjustments need a positive lambda")
         v = adjustment_trace(x, np.ones(n), n * lam) / n
-        return observable_adjustments(x, y, beta, IDENTITY_LINK.value, v, lam)
+        return observable_adjustments(x, y, beta, IDENTITY_LINK, v, lam)
     if kind == "ls":
-        return observable_adjustments(x, y, beta, IDENTITY_LINK.value, 1.0 - p / n)
+        return observable_adjustments(x, y, beta, IDENTITY_LINK, 1.0 - p / n)
     if kind in MLE_FAMILY:
         link = GLM_LINKS[MLE_FAMILY[kind]]
         v = adjustment_trace(x, link.deriv(x @ beta), 0.0) / n
-        return observable_adjustments(x, y, beta, link.value, v)
+        return observable_adjustments(x, y, beta, link, v)
     raise ConfigError(f"unknown pilot kind {kind!r}; choose from {PILOT_KINDS}")
 
 
@@ -234,7 +235,7 @@ def fit_pilot(
         if lam <= 0:
             raise ConfigError("ridge penalty must be positive")
         beta, v = _ridge_solve(x, y, lam, want_trace=True)
-        adj = observable_adjustments(x, y, beta, IDENTITY_LINK.value, v, lam)
+        adj = observable_adjustments(x, y, beta, IDENTITY_LINK, v, lam)
         return PilotFit(beta=beta, kind=kind, lam=lam, adjustments=adj)
     if kind == "ls":
         beta = least_squares_fit(x, y)

@@ -254,35 +254,24 @@ def run_pipeline(
         pilot = fit_pilot(x1, y1, config.pilot_kind, config.pilot_lam)
     with _stage("index"):
         index = debias_index(x1, y1, pilot)
-    if config.bypass_link is not None:
-        link = None
-        with _stage("surrogate"):
-            prob = SurrogateProblem.from_link_function(
-                config.bypass_link, config.penalty, config.penalty_lam
-            )
-        g, gprime = config.bypass_link.value, config.bypass_link.deriv
-        window = config.deconv.window
-    else:
+    link = None
+    if config.bypass_link is None:
         with _stage("link"):
             link = estimate_link(index, y1, config.deconv)
-        prob = SurrogateProblem.from_link_estimate(
-            link, config.penalty, config.penalty_lam
-        )
-        g, gprime = prob.g, prob.gprime
-        window = link.window
+    working = config.bypass_link or link
     with _stage("coef"):
+        prob = SurrogateProblem(working, config.penalty, config.penalty_lam)
         coef = fit_coefficients(x2, y2, prob, config.fit_options)
     censor = None
     if config.inference_mode == "censored":
-        lo, hi = config.censor_window or window
+        lo, hi = config.censor_window or config.deconv.window
         censor = CensoredAdjustment(lo, hi)
     with _stage("inference"):
         mu_hat, sigma2_hat = adjust_inferential(
             x2,
             y2,
             coef.beta,
-            g,
-            gprime,
+            working,
             mode=config.inference_mode,
             lam=config.penalty_lam if config.inference_mode == "ridge" else 0.0,
             censor=censor,

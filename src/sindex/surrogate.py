@@ -1,24 +1,25 @@
 """Surrogate-loss construction and coefficient fitting by damped Newton.
 
 The loss for one observation is G(x'b) - y x'b where G' equals the working
-link.  With the canonical GLM links it reduces to the negative log-likelihood;
-with a gridded link estimate it stays convex because the derivative is
-floored away from zero.
+link g.  With the canonical GLM links it reduces to the negative
+log-likelihood; with a gridded link estimate it stays convex because the
+derivative is floored away from zero.
+
+A working link is any object with evaluate(t) -> (G, g, g'): a built-in
+models.LinkFunction, or the deconvolution estimate deconv.LinkEstimate.
+The solver evaluates it once per trial iterate and takes the objective,
+the gradient and the next Newton system from that one evaluation.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional, Union
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from ._linalg import weighted_gram
-from .deconv import (
-    LinkEstimate,
-    build_antiderivative,
-    eval_link,
-    link_antiderivative,
-)
+from .deconv import LinkEstimate
+from .deconv import eval_link  # noqa: F401  (bench/tracer.py wraps it here)
 from .errors import (
     ConfigError,
     NonConvergenceError,
@@ -29,19 +30,23 @@ from .models import LinkFunction
 
 PENALTIES = ("none", "ridge")
 
+#: The two working links: each has evaluate(t) -> (G, g, g').
+WorkingLink = Union[LinkFunction, LinkEstimate]
+
 
 @dataclass(frozen=True)
 class SurrogateProblem:
-    """Working link (g, g'), its antiderivative, and the penalty.
+    """Working link and penalty of the surrogate loss.
 
-    lam is the per-sample ridge level: the fitted objective carries
-    n lam ||b||^2 / 2, matching the convention of the ridge pilot and of
-    the inferential adjustment traces (which regularize X'DX by n lam I).
+    link.evaluate(t) returns (G, g, g') at the indices t: the antiderivative
+    that enters the objective, the link that enters the gradient, and the
+    derivative that weights the Hessian.  lam is the per-sample ridge level:
+    the fitted objective carries n lam ||b||^2 / 2, matching the convention
+    of the ridge pilot and of the inferential adjustment traces (which
+    regularize X'DX by n lam I).
     """
 
-    g: Callable[[np.ndarray], np.ndarray]
-    gprime: Callable[[np.ndarray], np.ndarray]
-    antideriv: Callable[[np.ndarray], np.ndarray]
+    link: WorkingLink
     penalty: str = "none"
     lam: float = 0.0
 
@@ -52,45 +57,6 @@ class SurrogateProblem:
             raise ConfigError("ridge penalty needs lambda > 0")
         if self.penalty == "none" and self.lam != 0.0:
             raise ConfigError("penalty 'none' cannot carry a lambda")
-
-    @classmethod
-    def from_link_estimate(
-        cls, est: LinkEstimate, penalty: str = "none", lam: float = 0.0
-    ) -> "SurrogateProblem":
-        return cls(
-            g=lambda t: eval_link(est, t)[0],
-            gprime=lambda t: eval_link(est, t)[1],
-            antideriv=lambda t: link_antiderivative(est, t),
-            penalty=penalty,
-            lam=lam,
-        )
-
-    @classmethod
-    def from_link_function(
-        cls,
-        link: LinkFunction,
-        penalty: str = "none",
-        lam: float = 0.0,
-        window: tuple = (-30.0, 30.0),
-        points: int = 6001,
-    ) -> "SurrogateProblem":
-        """Wrap a built-in link; falls back to a fine-grid antiderivative
-        when no closed form is attached."""
-        antideriv = link.antideriv
-        if antideriv is None:
-            xs = np.linspace(window[0], window[1], points)
-            gvals = build_antiderivative(xs, link.value(xs))
-
-            def antideriv(t):
-                return np.interp(t, xs, gvals)
-
-        return cls(
-            g=link.value,
-            gprime=link.deriv,
-            antideriv=antideriv,
-            penalty=penalty,
-            lam=lam,
-        )
 
 
 @dataclass(frozen=True)
@@ -114,25 +80,27 @@ def surrogate_objective(
     b: np.ndarray, x: np.ndarray, y: np.ndarray, prob: SurrogateProblem
 ):
     """Objective value, gradient, and Hessian of the penalized surrogate loss."""
-    t = x @ b
-    value = _objective_value(t, b, y, prob)
-    grad = x.T @ (prob.g(t) - y)
+    value, g, gprime = _evaluate(x, y, b, prob)
+    if not np.isfinite(value):
+        raise ObjectiveOverflowError("surrogate objective is non-finite")
     ridge = prob.lam * x.shape[0] if prob.penalty == "ridge" else 0.0
-    grad = grad + ridge * b
-    hess = weighted_gram(x, prob.gprime(t), ridge)
+    grad = x.T @ (g - y) + ridge * b
+    hess = weighted_gram(x, gprime, ridge)
     if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
         raise ObjectiveOverflowError("surrogate gradient or Hessian is non-finite")
     return value, grad, hess
 
 
-def _objective_value(t, b, y, prob, strict=True):
+def _evaluate(x, y, b, prob):
+    """Objective value (inf or nan on overflow), link values and link
+    derivative at b, from one evaluation of the working link."""
+    t = x @ b
     with np.errstate(over="ignore"):
-        value = float(np.sum(prob.antideriv(t)) - float(y @ t))
+        big_g, g, gprime = prob.link.evaluate(t)
+        value = float(np.sum(big_g) - float(y @ t))
     if prob.penalty == "ridge":
         value += 0.5 * prob.lam * len(t) * float(b @ b)
-    if strict and not np.isfinite(value):
-        raise ObjectiveOverflowError("surrogate objective is non-finite")
-    return value
+    return value, g, gprime
 
 
 def _newton_direction(x, w, ridge, grad):
@@ -184,13 +152,10 @@ def fit_coefficients(
         )
     ridge = prob.lam * n if prob.penalty == "ridge" else 0.0
     beta = np.zeros(p)
-
-    def gradient(b, t):
-        return x.T @ (prob.g(t) - y) + ridge * b
-
-    t = x @ beta
-    objective = _objective_value(t, beta, y, prob)
-    grad = gradient(beta, t)
+    objective, g, gprime = _evaluate(x, y, beta, prob)
+    if not np.isfinite(objective):
+        raise ObjectiveOverflowError("surrogate objective is non-finite")
+    grad = x.T @ (g - y) + ridge * beta
     grad_norm = np.inf
     for it in range(1, opts.max_iter + 1):
         if not np.all(np.isfinite(grad)):
@@ -205,41 +170,36 @@ def fit_coefficients(
                 grad_norm=grad_norm,
                 converged=True,
             )
-        direction = _newton_direction(x, prob.gprime(t), ridge, grad)
+        direction = _newton_direction(x, gprime, ridge, grad)
         # Quadratic-phase acceptance: take the full step whenever it halves
         # the gradient; an Armijo test alone stalls once the objective
-        # decrease drops below float resolution.  An accepted step carries
-        # its index and gradient into the next iteration.
+        # decrease drops below float resolution.  Otherwise backtrack from
+        # the full step.  The accepted iterate's link evaluation gives the
+        # next gradient and Newton system.
         candidate = beta + direction
-        full_t = x @ candidate
-        full_value = _objective_value(full_t, candidate, y, prob, strict=False)
-        full_grad = gradient(candidate, full_t)
-        if (
-            np.isfinite(full_value)
-            and np.all(np.isfinite(full_grad))
-            and np.max(np.abs(full_grad)) <= 0.5 * grad_norm
+        value, g, gprime = _evaluate(x, y, candidate, prob)
+        cand_grad = x.T @ (g - y) + ridge * candidate
+        if not (
+            np.isfinite(value)
+            and np.all(np.isfinite(cand_grad))
+            and np.max(np.abs(cand_grad)) <= 0.5 * grad_norm
         ):
-            cand_value, t, grad = full_value, full_t, full_grad
-        else:
             slope = float(grad @ direction)
-            step = 1.0
-            for _ in range(opts.max_halvings + 1):
-                candidate = beta + step * direction
-                t = x @ candidate
-                cand_value = _objective_value(t, candidate, y, prob, strict=False)
-                if np.isfinite(cand_value) and cand_value < objective + 1e-4 * step * slope:
-                    break
+            step, halvings = 1.0, 0
+            while not (np.isfinite(value) and value < objective + 1e-4 * step * slope):
+                if halvings == opts.max_halvings:
+                    raise NonConvergenceError(
+                        "line search failed to decrease the surrogate objective",
+                        iterations=it,
+                        grad_norm=grad_norm,
+                        beta=beta,
+                    )
                 step *= 0.5
-            else:
-                raise NonConvergenceError(
-                    "line search failed to decrease the surrogate objective",
-                    iterations=it,
-                    grad_norm=grad_norm,
-                    beta=beta,
-                )
-            grad = gradient(candidate, t)
-        beta = candidate
-        objective = cand_value
+                halvings += 1
+                candidate = beta + step * direction
+                value, g, gprime = _evaluate(x, y, candidate, prob)
+            cand_grad = x.T @ (g - y) + ridge * candidate
+        beta, objective, grad = candidate, value, cand_grad
     raise NonConvergenceError(
         f"Newton did not converge in {opts.max_iter} iterations "
         f"(gradient inf-norm {grad_norm:.3e})",

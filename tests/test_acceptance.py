@@ -111,14 +111,14 @@ def test_criterion_5_oracle_equivalences():
     # surrogate with identity link = least squares
     x = rng.standard_normal((80, 10))
     y = x @ rng.normal(size=10) + 0.3 * rng.standard_normal(80)
-    fit = fit_coefficients(x, y, SurrogateProblem.from_link_function(IDENTITY_LINK))
+    fit = fit_coefficients(x, y, SurrogateProblem(IDENTITY_LINK))
     gap_ls = float(np.max(np.abs(fit.beta - np.linalg.lstsq(x, y, rcond=None)[0])))
     details.append(f"identity-vs-LS {gap_ls:.1e}")
 
     # surrogate with logistic link = logistic MLE via independent IRLS
     t = x @ (0.4 * rng.normal(size=10))
     yb = (rng.random(80) < expit(t)).astype(float)
-    fit_l = fit_coefficients(x, yb, SurrogateProblem.from_link_function(LOGISTIC_LINK))
+    fit_l = fit_coefficients(x, yb, SurrogateProblem(LOGISTIC_LINK))
     b = np.zeros(10)
     for _ in range(200):
         eta = x @ b
@@ -134,7 +134,7 @@ def test_criterion_5_oracle_equivalences():
     details.append(f"logistic-vs-IRLS {gap_irls:.1e}")
 
     # vhat with unit weights = 1 - kappa
-    gap_v = abs(sx.vhat(x, np.zeros(10), IDENTITY_LINK.deriv, lam=0.0) - (1 - 10 / 80))
+    gap_v = abs(sx.vhat(x, np.zeros(10), IDENTITY_LINK, lam=0.0) - (1 - 10 / 80))
     details.append(f"vhat-unit {gap_v:.1e}")
 
     # deconvolution at sigma = 0 = plain Nadaraya-Watson (quadrature kernel)
@@ -161,15 +161,12 @@ def test_criterion_5_oracle_equivalences():
     y_lin = x @ beta + rng.standard_normal(80)
     z = x @ beta
     window = sx.CensoredAdjustment(z.min() - 1, z.max() + 1)
-    plain = sx.adjust_inferential(
-        x, y_lin, beta, IDENTITY_LINK.value, IDENTITY_LINK.deriv, "unregularized"
-    )
+    plain = sx.adjust_inferential(x, y_lin, beta, IDENTITY_LINK, "unregularized")
     censored = sx.adjust_inferential(
         x,
         y_lin,
         beta,
-        IDENTITY_LINK.value,
-        IDENTITY_LINK.deriv,
+        IDENTITY_LINK,
         "censored",
         censor=window,
     )
@@ -199,7 +196,7 @@ def test_criterion_6_numerical_properties(tmp_path):
         n, p = int(rng.integers(20, 60)), int(rng.integers(2, 8))
         x = rng.standard_normal((n, p))
         yb = (rng.random(n) < 0.5).astype(float)
-        prob = SurrogateProblem.from_link_function(LOGISTIC_LINK, "ridge", 0.2)
+        prob = SurrogateProblem(LOGISTIC_LINK, "ridge", 0.2)
         b = 0.3 * rng.normal(size=p)
         _, grad, _ = surrogate_objective(b, x, yb, prob)
         fd = np.zeros(p)

@@ -19,6 +19,7 @@ from sindex.models import (
     Dataset,
     DesignSpec,
     IDENTITY_LINK,
+    LinkFunction,
     generate_responses,
     model_lookup,
     sample_coefficients,
@@ -28,7 +29,7 @@ from sindex.pilot import fit_pilot, least_squares_fit, pilot_adjustments
 
 rng = np.random.default_rng(606)
 
-ones = IDENTITY_LINK.deriv  # unit weights
+ones = IDENTITY_LINK  # unit weights
 
 
 def test_vhat_unit_weights_projection_trace():
@@ -48,7 +49,8 @@ def test_vhat_large_lambda_limit():
     def gprime(t):
         return np.exp(0.2 * t)
 
-    v = vhat(x, beta, gprime, lam=1e9)
+    link = LinkFunction("exp(t/5)", lambda t: 5 * gprime(t), gprime, lambda t: 25 * gprime(t))
+    v = vhat(x, beta, link, lam=1e9)
     direct = np.mean(gprime(x @ beta))
     assert v == pytest.approx(direct, rel=1e-4)
 
@@ -63,7 +65,7 @@ def test_adjust_exact_fit():
     x = rng.standard_normal((40, 5))
     beta = rng.normal(size=5)
     y = x @ beta  # identity link, zero residual
-    mu, s2 = adjust_inferential(x, y, beta, IDENTITY_LINK.value, ones, "ridge", lam=0.5)
+    mu, s2 = adjust_inferential(x, y, beta, ones, "ridge", lam=0.5)
     assert s2 == 0.0
     assert mu == pytest.approx(np.linalg.norm(beta))
 
@@ -74,9 +76,9 @@ def test_censored_equals_uncensored_with_covering_window():
     y = x @ beta + rng.standard_normal(60)
     z = x @ beta
     window = CensoredAdjustment(z.min() - 1.0, z.max() + 1.0)
-    plain = adjust_inferential(x, y, beta, IDENTITY_LINK.value, ones, "unregularized")
+    plain = adjust_inferential(x, y, beta, ones, "unregularized")
     censored = adjust_inferential(
-        x, y, beta, IDENTITY_LINK.value, ones, "censored", censor=window
+        x, y, beta, ones, "censored", censor=window
     )
     assert plain == censored
 
@@ -86,7 +88,7 @@ def test_censored_window_validation():
         CensoredAdjustment(1.0, 1.0)
     x = rng.standard_normal((10, 2))
     with pytest.raises(ConfigError):
-        adjust_inferential(x, np.ones(10), np.zeros(2), IDENTITY_LINK.value, ones, "censored")
+        adjust_inferential(x, np.ones(10), np.zeros(2), ones, "censored")
 
 
 def test_unregularized_identity_reproduces_ls_pilot_adjustments():
@@ -96,7 +98,7 @@ def test_unregularized_identity_reproduces_ls_pilot_adjustments():
     y = x @ rng.normal(size=16) + rng.standard_normal(80)
     beta = least_squares_fit(x, y)
     adj = pilot_adjustments(beta, x, y, "ls")
-    mu, s2 = adjust_inferential(x, y, beta, IDENTITY_LINK.value, ones, "unregularized")
+    mu, s2 = adjust_inferential(x, y, beta, ones, "unregularized")
     assert mu == pytest.approx(adj.mu, abs=1e-10)
     assert s2 == pytest.approx(adj.sigma2, abs=1e-10)
 
@@ -205,11 +207,11 @@ def test_efficiency_condition_matches_direct_comparison():
         from sindex.surrogate import SurrogateProblem, fit_coefficients
         from sindex.models import CUBIC_LINK
 
-        prob = SurrogateProblem.from_link_function(CUBIC_LINK, "ridge", lam2)
+        prob = SurrogateProblem(CUBIC_LINK, "ridge", lam2)
         fit = fit_coefficients(x2, y2, prob)
-        v_hat = vhat(x2, fit.beta, prob.gprime, lam=lam2)
+        v_hat = vhat(x2, fit.beta, CUBIC_LINK, lam=lam2)
         mu_hat, s2_hat = adjust_inferential(
-            x2, y2, fit.beta, prob.g, prob.gprime, "ridge", lam=lam2
+            x2, y2, fit.beta, CUBIC_LINK, "ridge", lam=lam2
         )
         # skip instances where the absolute value in mu flips sign
         if fit.beta @ fit.beta <= s2_hat or pilot.beta @ pilot.beta <= pilot.adjustments.sigma2:
@@ -218,7 +220,7 @@ def test_efficiency_condition_matches_direct_comparison():
             fit.beta,
             v_hat,
             lam2,
-            y2 - prob.g(x2 @ fit.beta),
+            y2 - CUBIC_LINK.value(x2 @ fit.beta),
             pilot.beta,
             pilot.adjustments.v,
             lam1,

@@ -13,7 +13,7 @@ from sindex.errors import (
     NonIdentifiableError,
 )
 from sindex.inference import CensoredAdjustment
-from sindex.models import DesignSpec, generate_responses, model_lookup, sample_coefficients, sample_design
+from sindex.models import DesignSpec, LinkFunction, generate_responses, model_lookup, sample_coefficients, sample_design
 from sindex.pilot import (
     GLM_LINKS,
     fit_pilot,
@@ -116,7 +116,7 @@ def test_glm_objective_monotone_on_accepted_steps():
     # log-likelihoods, and the uncapped fit is glm_mle_fit's answer.
     x = rng.standard_normal((100, 4))
     y = rng.poisson(np.exp(0.3 * x[:, 0])).astype(float)
-    prob = SurrogateProblem.from_link_function(GLM_LINKS["poisson"])
+    prob = SurrogateProblem(GLM_LINKS["poisson"])
     path = []
     for cap in (1, 2, 3, 5, 8, 30):
         try:
@@ -279,9 +279,13 @@ def test_observable_adjustments_match_written_out_formulas(kind, n, kappa, lam, 
         window = CensoredAdjustment(-0.5, 0.5)
         z = np.clip(xb, -0.5, 0.5)
         v = dense_v(x, 0.5 * np.exp(0.5 * z), 0.0)
-        adj = observable_adjustments(
-            x, y, b, lambda t: np.exp(0.5 * t), v, censor=window
+        link = LinkFunction(
+            "exp(t/2)",
+            lambda t: np.exp(0.5 * t),
+            lambda t: 0.5 * np.exp(0.5 * t),
+            lambda t: 2.0 * np.exp(0.5 * t),
         )
+        adj = observable_adjustments(x, y, b, link, v, censor=window)
         gamma = kappa / v
         sigma2 = kappa * np.sum((y - np.exp(0.5 * z)) ** 2) / (n * v ** 2)
         terms = (z @ z / n, (1 - kappa) * sigma2)

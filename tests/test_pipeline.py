@@ -132,7 +132,7 @@ def test_bypass_mode_equals_direct_fit():
     report = run_pipeline(data, config, design=spec)
     assert report.link is None
     direct = fit_coefficients(
-        data.x, data.y, SurrogateProblem.from_link_function(CLOGLOG_LINK)
+        data.x, data.y, SurrogateProblem(CLOGLOG_LINK)
     )
     assert np.max(np.abs(report.coef.beta - direct.beta)) < 1e-12
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import expit
 
 from sindex.debias import IndexEstimate
-from sindex.deconv import DeconvConfig, estimate_link
+from sindex.deconv import DeconvConfig, build_antiderivative, estimate_link
 from sindex.errors import ConfigError
 from sindex.models import (
     CLOGLOG_LINK,
@@ -21,7 +21,6 @@ from sindex.models import (
 from sindex.surrogate import (
     FitOptions,
     SurrogateProblem,
-    build_antiderivative,
     fit_coefficients,
     surrogate_objective,
 )
@@ -57,7 +56,7 @@ def test_objective_linear_case_gradient():
     x = rng.standard_normal((30, 4))
     y = rng.standard_normal(30)
     b = rng.normal(size=4)
-    prob = SurrogateProblem.from_link_function(IDENTITY_LINK)
+    prob = SurrogateProblem(IDENTITY_LINK)
     _, grad, _ = surrogate_objective(b, x, y, prob)
     assert np.allclose(grad, x.T @ (x @ b - y), atol=1e-10)
 
@@ -66,7 +65,7 @@ def test_objective_linear_case_gradient():
 def test_objective_gradient_matches_finite_differences(penalty, lam):
     x = rng.standard_normal((25, 5))
     y = (rng.random(25) < 0.5).astype(float)
-    prob = SurrogateProblem.from_link_function(LOGISTIC_LINK, penalty, lam)
+    prob = SurrogateProblem(LOGISTIC_LINK, penalty, lam)
     b = 0.3 * rng.normal(size=5)
     _, grad, _ = surrogate_objective(b, x, y, prob)
     eps = 1e-6
@@ -86,7 +85,7 @@ def test_objective_hessian_psd():
     w = rng.standard_normal(300)
     est = IndexEstimate(w=w, varsigma2=0.02)
     link = estimate_link(est, np.tanh(w), DeconvConfig(bandwidth_mode="fixed", h=0.4))
-    prob = SurrogateProblem.from_link_estimate(link)
+    prob = SurrogateProblem(link)
     _, _, hess = surrogate_objective(rng.normal(size=6), x, y, prob)
     assert np.min(np.linalg.eigvalsh(hess)) >= -1e-10
 
@@ -94,7 +93,7 @@ def test_objective_hessian_psd():
 def test_identity_link_equals_least_squares():
     x = rng.standard_normal((60, 8))
     y = x @ rng.normal(size=8) + 0.4 * rng.standard_normal(60)
-    fit = fit_coefficients(x, y, SurrogateProblem.from_link_function(IDENTITY_LINK))
+    fit = fit_coefficients(x, y, SurrogateProblem(IDENTITY_LINK))
     oracle = np.linalg.lstsq(x, y, rcond=None)[0]
     assert np.max(np.abs(fit.beta - oracle)) < 1e-8
     assert fit.converged
@@ -119,14 +118,14 @@ def test_logistic_link_equals_mle_via_irls():
     x = rng.standard_normal((150, 6))
     t = x @ (0.4 * rng.normal(size=6))
     y = (rng.random(150) < expit(t)).astype(float)
-    fit = fit_coefficients(x, y, SurrogateProblem.from_link_function(LOGISTIC_LINK))
+    fit = fit_coefficients(x, y, SurrogateProblem(LOGISTIC_LINK))
     assert np.max(np.abs(fit.beta - irls_logistic(x, y))) < 1e-6
 
 
 def test_huge_ridge_shrinks_to_zero():
     x = rng.standard_normal((50, 5))
     y = rng.standard_normal(50)
-    prob = SurrogateProblem.from_link_function(IDENTITY_LINK, "ridge", 1e6)
+    prob = SurrogateProblem(IDENTITY_LINK, "ridge", 1e6)
     fit = fit_coefficients(x, y, prob)
     assert np.linalg.norm(fit.beta) < 1e-3
 
@@ -136,22 +135,22 @@ def test_unpenalized_needs_n_gt_p():
         fit_coefficients(
             rng.standard_normal((5, 9)),
             rng.standard_normal(5),
-            SurrogateProblem.from_link_function(IDENTITY_LINK),
+            SurrogateProblem(IDENTITY_LINK),
         )
 
 
 def test_penalty_validation():
     with pytest.raises(ConfigError):
-        SurrogateProblem.from_link_function(IDENTITY_LINK, "ridge", 0.0)
+        SurrogateProblem(IDENTITY_LINK, "ridge", 0.0)
     with pytest.raises(ConfigError):
-        SurrogateProblem.from_link_function(IDENTITY_LINK, "lasso", 0.1)
+        SurrogateProblem(IDENTITY_LINK, "lasso", 0.1)
 
 
 def test_row_permutation_invariance():
     x = rng.standard_normal((80, 5))
     t = x @ (0.5 * rng.normal(size=5))
     y = (rng.random(80) < expit(t)).astype(float)
-    prob = SurrogateProblem.from_link_function(LOGISTIC_LINK)
+    prob = SurrogateProblem(LOGISTIC_LINK)
     fit = fit_coefficients(x, y, prob)
     perm = rng.permutation(80)
     fit_p = fit_coefficients(x[perm], y[perm], prob)
@@ -163,7 +162,7 @@ def test_objective_decreases_along_newton_path():
     # nonincreasing objective values
     x = rng.standard_normal((60, 4))
     y = rng.poisson(np.exp(0.4 * x[:, 0])).astype(float)
-    prob = SurrogateProblem.from_link_function(
+    prob = SurrogateProblem(
         model_lookup("poisson").link, "ridge", 0.05
     )
     values = []
@@ -191,8 +190,8 @@ def test_grid_link_fit_aligns_with_true_link_fit():
         y,
         DeconvConfig(bandwidth_mode="fixed", h=0.25),
     )
-    fit_grid = fit_coefficients(x, y, SurrogateProblem.from_link_estimate(link))
-    fit_true = fit_coefficients(x, y, SurrogateProblem.from_link_function(CLOGLOG_LINK))
+    fit_grid = fit_coefficients(x, y, SurrogateProblem(link))
+    fit_true = fit_coefficients(x, y, SurrogateProblem(CLOGLOG_LINK))
     cos = fit_grid.beta @ fit_true.beta / (
         np.linalg.norm(fit_grid.beta) * np.linalg.norm(fit_true.beta)
     )
@@ -206,6 +205,6 @@ def test_population_recovery_with_true_link():
     beta = sample_coefficients(40, "uniform-sphere", spec, seed=41)
     x = sample_design(8000, spec, seed=42)
     y = generate_responses(x, beta, model_lookup("cubic"), seed=43)
-    fit = fit_coefficients(x, y, SurrogateProblem.from_link_function(CUBIC_LINK))
+    fit = fit_coefficients(x, y, SurrogateProblem(CUBIC_LINK))
     mu_n = beta @ fit.beta
     assert np.linalg.norm(fit.beta / mu_n - beta) < 0.1
