@@ -61,11 +61,13 @@ def _flattop_fourier(t):
     # at 1.  Passes every frequency under 1/(2h) unattenuated, so the kernel
     # has vanishing moments of all orders (no smoothing bias on smooth
     # links); the C^2 taper keeps the kernel tails integrable enough that
-    # thin-data grid edges stay usable.
+    # thin-data grid edges stay usable.  The window 1 - u^3 (6u^2 - 15u + 10)
+    # is evaluated as (1 - u)^3 (6u^2 + 3u + 1), which keeps its relative
+    # precision as it vanishes at t = 1.
     t = np.abs(np.asarray(t, dtype=float))
     u = np.clip((t - 0.5) / 0.5, 0.0, 1.0)
-    taper = u * u * u * (u * (6.0 * u - 15.0) + 10.0)
-    return np.where(t <= 1.0, 1.0 - taper, 0.0)
+    v = 1.0 - u
+    return np.where(t <= 1.0, v * v * v * (u * (6.0 * u + 3.0) + 1.0), 0.0)
 
 
 @dataclass(frozen=True)
@@ -160,18 +162,15 @@ class LinkEstimate:
         )
 
     def evaluate(self, x: np.ndarray):
-        """Antiderivative, value and derivative at the points of x:
-        (G, ghat, ghat').
+        """(G, ghat, ghat') at the points of x, from one search of the grid.
 
-        Piecewise-linear inside the window, linear beyond it with the
-        floored boundary slope; G is the exact integral of ghat from the
-        left grid edge, and ghat' is the local slope, never below the floor.
+        ghat is piecewise-linear inside the window and continues linearly
+        beyond it with the floored end slope; G is its exact integral from
+        the left grid edge; ghat' is the local slope, never below the floor.
         """
         slopes, floored, gvals = self._pieces
-        # Anchor each point at the left node of its cell, or beyond the
-        # window at the nearest end node.
         pos = np.searchsorted(self.grid, x, side="right")
-        node = np.maximum(pos - 1, 0)
+        node = np.maximum(pos - 1, 0)  # left node of the cell, or the end node
         dx = x - self.grid[node]
         base, slope = self.values[node], slopes[pos]
         return (

@@ -38,11 +38,10 @@ WorkingLink = Union[LinkFunction, LinkEstimate]
 class SurrogateProblem:
     """Working link and penalty of the surrogate loss.
 
-    link.evaluate(t) returns (G, g, g') at the indices t: the antiderivative
-    that enters the objective, the link that enters the gradient, and the
-    derivative that weights the Hessian.  lam is the per-sample ridge level:
-    the fitted objective carries n lam ||b||^2 / 2, matching the convention
-    of the ridge pilot and of the inferential adjustment traces (which
+    link.evaluate(t) gives (G, g, g') at the indices t, for the objective,
+    the gradient and the Hessian.  lam is the per-sample ridge level: the
+    fitted objective carries n lam ||b||^2 / 2, matching the convention of
+    the ridge pilot and of the inferential adjustment traces (which
     regularize X'DX by n lam I).
     """
 
@@ -171,16 +170,16 @@ def fit_coefficients(
                 converged=True,
             )
         direction = _newton_direction(x, gprime, ridge, grad)
-        # Quadratic-phase acceptance: take the full step whenever it halves
-        # the gradient; an Armijo test alone stalls once the objective
-        # decrease drops below float resolution.  Otherwise backtrack from
-        # the full step.  The accepted iterate's link evaluation gives the
-        # next gradient and Newton system.
+        # Quadratic-phase acceptance: take the full step when it halves the
+        # gradient without raising the objective beyond float resolution (an
+        # Armijo test alone stalls below that resolution; the gradient test
+        # alone cycles on a piecewise-linear link), else backtrack from it.
         candidate = beta + direction
         value, g, gprime = _evaluate(x, y, candidate, prob)
         cand_grad = x.T @ (g - y) + ridge * candidate
         if not (
             np.isfinite(value)
+            and value <= objective + 1e-12 * max(1.0, abs(objective))
             and np.all(np.isfinite(cand_grad))
             and np.max(np.abs(cand_grad)) <= 0.5 * grad_norm
         ):

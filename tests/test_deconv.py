@@ -1,6 +1,7 @@
 """Deconvolution kernel, bandwidth rule, grid regression, and link evaluation."""
 
 import csv
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -266,6 +267,17 @@ def test_link_antiderivative_integrates_eval_link():
         assert exact == pytest.approx(reference, rel=1e-12, abs=1e-12)
 
 
+def test_evaluate_agrees_bitwise_with_eval_link():
+    w = np.random.default_rng(10).standard_normal(200)
+    cfg = DeconvConfig(bandwidth_mode="fixed", h=0.4)
+    link = estimate_link(IndexEstimate(w=w, varsigma2=0.02), np.tanh(w), cfg)
+    probe = np.concatenate((np.linspace(-7.0, 7.0, 1001), link.grid))
+    _, g, gp = link.evaluate(probe)
+    g_ref, gp_ref = eval_link(link, probe)
+    assert np.array_equal(g, g_ref) and np.array_equal(gp, gp_ref)
+    assert eval_link(link, probe[7]) == (float(g[7]), float(gp[7]))
+
+
 def test_eval_link_extrapolation_hand_trace():
     w = rng.standard_normal(200)
     y = 2 * w + rng.standard_normal(200)
@@ -318,6 +330,16 @@ def test_link_estimate_csv(tmp_path):
     assert len(rows) == 1 + len(link.grid)
     assert float(rows[1][0]) == link.grid[0]
     assert float(rows[42][1]) == link.values[41]
+
+
+def test_flattop_window_precise_near_one():
+    # The taper vanishes like (1 - u)^3 at t = 1; compare with exact
+    # rational arithmetic at the same binary inputs.
+    phi = KERNELS["flattop"].fourier
+    for t in (0.999, 0.9999):
+        u = (Fraction(t) - Fraction(1, 2)) * 2
+        exact = 1 - u ** 3 * (6 * u * u - 15 * u + 10)
+        assert abs(Fraction(float(phi(t))) - exact) <= Fraction(1, 10 ** 14) * exact
 
 
 def test_flattop_window_shape():

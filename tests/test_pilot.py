@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
+from sindex.debias import debias_index
+from sindex.deconv import DeconvConfig, estimate_link
 from sindex.errors import (
     ConfigError,
     DegenerateError,
@@ -12,6 +14,7 @@ from sindex.errors import (
     NonexistenceError,
     NonIdentifiableError,
 )
+from sindex.experiments import _simulate
 from sindex.inference import CensoredAdjustment
 from sindex.models import DesignSpec, LinkFunction, generate_responses, model_lookup, sample_coefficients, sample_design
 from sindex.pilot import (
@@ -110,6 +113,19 @@ def test_glm_stationarity_contract():
     assert np.max(np.abs(grad)) < 1e-8
 
 
+def _objective_path(x, y, prob, caps):
+    """Objective at the fit returned under each iteration cap, and the last
+    iterate."""
+    path = []
+    for cap in caps:
+        try:
+            beta = fit_coefficients(x, y, prob, FitOptions(max_iter=cap)).beta
+        except NonConvergenceError as err:
+            beta = err.beta
+        path.append(surrogate_objective(beta, x, y, prob)[0])
+    return path, beta
+
+
 def test_glm_objective_monotone_on_accepted_steps():
     # The Poisson MLE is the surrogate Newton fit with the canonical link;
     # rerunning it with growing iteration caps gives nonincreasing negative
@@ -117,15 +133,19 @@ def test_glm_objective_monotone_on_accepted_steps():
     x = rng.standard_normal((100, 4))
     y = rng.poisson(np.exp(0.3 * x[:, 0])).astype(float)
     prob = SurrogateProblem(GLM_LINKS["poisson"])
-    path = []
-    for cap in (1, 2, 3, 5, 8, 30):
-        try:
-            beta = fit_coefficients(x, y, prob, FitOptions(max_iter=cap)).beta
-        except NonConvergenceError as err:
-            beta = err.beta
-        path.append(surrogate_objective(beta, x, y, prob)[0])
+    path, beta = _objective_path(x, y, prob, (1, 2, 3, 5, 8, 30))
     assert all(b <= a + 1e-9 for a, b in zip(path, path[1:]))
     assert np.array_equal(beta, glm_mle_fit(x, y, "poisson"))
+    # The same on a gridded link: figure3's refit after a near-degenerate
+    # ridge pilot, where full steps that halve the gradient but raise the
+    # objective used to cycle from about iteration 32 on.
+    x, y, _, _ = _simulate(
+        "cloglog", 250, 500, "uniform-sphere", np.random.SeedSequence(1).spawn(300)[195]
+    )
+    index = debias_index(x, y, fit_pilot(x, y, "ridge", 1.0))
+    link = estimate_link(index, y, DeconvConfig(bandwidth_mode="fixed", h=2.5))
+    path, _ = _objective_path(x, y, SurrogateProblem(link, "ridge", 0.1), range(30, 41))
+    assert all(b <= a + 1e-9 for a, b in zip(path, path[1:]))
 
 
 def test_mle_pilot_needs_n_gt_p():

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sindex
+from sindex.deconv import KERNELS, DeconvConfig
 from sindex.errors import ConfigError, PipelineError, SplitError
-from sindex.experiments import _map_reps
+from sindex.experiments import _map_reps, _simulate
 from sindex.models import (
     CLOGLOG_LINK,
     Dataset,
@@ -135,6 +136,40 @@ def test_bypass_mode_equals_direct_fit():
         data.x, data.y, SurrogateProblem(CLOGLOG_LINK)
     )
     assert np.max(np.abs(report.coef.beta - direct.beta)) < 1e-12
+
+
+#: figure3's and table1's pipeline configurations.
+FIGURE3_CONFIG = PipelineConfig(
+    deconv=DeconvConfig(bandwidth_mode="fixed", h=2.5), split=SplitConfig(no_split=True)
+)
+TABLE1_CONFIG = PipelineConfig(
+    pilot_kind="logit-mle",
+    pilot_lam=None,
+    deconv=DeconvConfig(kernel=KERNELS["flattop"]),
+    penalty="none",
+    penalty_lam=0.0,
+    inference_mode="unregularized",
+    split=SplitConfig(no_split=True),
+)
+
+
+@pytest.mark.parametrize(
+    "model,n,p,seedseq,config",
+    [
+        # figure3 replication 195 at seed 1: near-degenerate ridge pilot.
+        ("cloglog", 250, 500, np.random.SeedSequence(1).spawn(300)[195], FIGURE3_CONFIG),
+        # table1 replication 73 at seed 33.
+        ("logit", 2000, 50, np.random.SeedSequence(33).spawn(74)[73].spawn(2)[0], TABLE1_CONFIG),
+    ],
+    ids=["figure3-195", "table1-33-73"],
+)
+def test_refit_converges_where_full_steps_cycled(model, n, p, seedseq, config):
+    # Full Newton steps that halved the gradient but raised the objective
+    # cycled on these piecewise-linear links until the iteration cap.
+    x, y, _, design = _simulate(model, n, p, "uniform-sphere", seedseq)
+    report = run_pipeline(Dataset(x, y), config, design=design)
+    assert report.coef.converged
+    assert report.coef.iterations < 50
 
 
 def test_stage_labels_on_errors():

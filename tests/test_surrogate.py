@@ -13,6 +13,7 @@ from sindex.models import (
     DesignSpec,
     IDENTITY_LINK,
     LOGISTIC_LINK,
+    LinkFunction,
     generate_responses,
     model_lookup,
     sample_coefficients,
@@ -88,6 +89,25 @@ def test_objective_hessian_psd():
     prob = SurrogateProblem(link)
     _, _, hess = surrogate_objective(rng.normal(size=6), x, y, prob)
     assert np.min(np.linalg.eigvalsh(hess)) >= -1e-10
+
+
+def test_full_step_fit_evaluates_the_link_once_per_iterate():
+    # The start and every accepted full step each take one link evaluation,
+    # which gives the objective, the gradient and the next Newton system.
+    calls = []
+
+    class CountingLink(LinkFunction):
+        def evaluate(self, t):
+            calls.append(len(t))
+            return super().evaluate(t)
+
+    link = CountingLink("logistic", expit, LOGISTIC_LINK.deriv, LOGISTIC_LINK.antideriv)
+    x = rng.standard_normal((200, 5))
+    y = (rng.random(200) < expit(x @ (0.3 * rng.normal(size=5)))).astype(float)
+    fit = fit_coefficients(x, y, SurrogateProblem(link))
+    assert fit.converged and fit.iterations >= 3
+    assert len(calls) == fit.iterations + 1
+    assert np.array_equal(fit.beta, fit_coefficients(x, y, SurrogateProblem(LOGISTIC_LINK)).beta)
 
 
 def test_identity_link_equals_least_squares():
