@@ -29,17 +29,16 @@ from sindex.pilot import fit_pilot, least_squares_fit, pilot_adjustments
 
 rng = np.random.default_rng(606)
 
-ones = IDENTITY_LINK  # unit weights
-
 
 def test_vhat_unit_weights_projection_trace():
     x = rng.standard_normal((50, 10))
-    assert vhat(x, np.zeros(10), ones, lam=0.0) == pytest.approx(1 - 0.2, abs=1e-10)
+    v = vhat(x, np.zeros(10), IDENTITY_LINK, lam=0.0)
+    assert v == pytest.approx(1 - 0.2, abs=1e-10)
 
 
 def test_vhat_two_by_one_hand_trace():
     x = np.array([[1.0], [1.0]])
-    assert vhat(x, np.zeros(1), ones, lam=0.0) == pytest.approx(0.5)
+    assert vhat(x, np.zeros(1), IDENTITY_LINK, lam=0.0) == pytest.approx(0.5)
 
 
 def test_vhat_large_lambda_limit():
@@ -49,7 +48,9 @@ def test_vhat_large_lambda_limit():
     def gprime(t):
         return np.exp(0.2 * t)
 
-    link = LinkFunction("exp(t/5)", lambda t: 5 * gprime(t), gprime, lambda t: 25 * gprime(t))
+    link = LinkFunction(
+        "exp(t/5)", lambda t: 5 * gprime(t), gprime, lambda t: 25 * gprime(t)
+    )
     v = vhat(x, beta, link, lam=1e9)
     direct = np.mean(gprime(x @ beta))
     assert v == pytest.approx(direct, rel=1e-4)
@@ -58,14 +59,14 @@ def test_vhat_large_lambda_limit():
 def test_vhat_rank_error_at_lambda_zero():
     x = rng.standard_normal((4, 6))
     with pytest.raises(RankError):
-        vhat(x, np.zeros(6), ones, lam=0.0)
+        vhat(x, np.zeros(6), IDENTITY_LINK, lam=0.0)
 
 
 def test_adjust_exact_fit():
     x = rng.standard_normal((40, 5))
     beta = rng.normal(size=5)
     y = x @ beta  # identity link, zero residual
-    mu, s2 = adjust_inferential(x, y, beta, ones, "ridge", lam=0.5)
+    mu, s2 = adjust_inferential(x, y, beta, IDENTITY_LINK, "ridge", lam=0.5)
     assert s2 == 0.0
     assert mu == pytest.approx(np.linalg.norm(beta))
 
@@ -76,10 +77,8 @@ def test_censored_equals_uncensored_with_covering_window():
     y = x @ beta + rng.standard_normal(60)
     z = x @ beta
     window = CensoredAdjustment(z.min() - 1.0, z.max() + 1.0)
-    plain = adjust_inferential(x, y, beta, ones, "unregularized")
-    censored = adjust_inferential(
-        x, y, beta, ones, "censored", censor=window
-    )
+    plain = adjust_inferential(x, y, beta, IDENTITY_LINK, "unregularized")
+    censored = adjust_inferential(x, y, beta, IDENTITY_LINK, "censored", censor=window)
     assert plain == censored
 
 
@@ -88,7 +87,7 @@ def test_censored_window_validation():
         CensoredAdjustment(1.0, 1.0)
     x = rng.standard_normal((10, 2))
     with pytest.raises(ConfigError):
-        adjust_inferential(x, np.ones(10), np.zeros(2), ones, "censored")
+        adjust_inferential(x, np.ones(10), np.zeros(2), IDENTITY_LINK, "censored")
 
 
 def test_unregularized_identity_reproduces_ls_pilot_adjustments():
@@ -98,7 +97,7 @@ def test_unregularized_identity_reproduces_ls_pilot_adjustments():
     y = x @ rng.normal(size=16) + rng.standard_normal(80)
     beta = least_squares_fit(x, y)
     adj = pilot_adjustments(beta, x, y, "ls")
-    mu, s2 = adjust_inferential(x, y, beta, ones, "unregularized")
+    mu, s2 = adjust_inferential(x, y, beta, IDENTITY_LINK, "unregularized")
     assert mu == pytest.approx(adj.mu, abs=1e-10)
     assert s2 == pytest.approx(adj.sigma2, abs=1e-10)
 
