@@ -44,8 +44,6 @@ from .inference import (
     adjust_inferential,
     effective_variance_estimated,
     effective_variance_oracle,
-    efficiency_condition_ls,
-    efficiency_condition_ridge,
     joint_transform,
     marginal_inference,
     oracle_params,
@@ -57,7 +55,6 @@ from .models import (
     LinkFunction,
     SimModel,
     generate_responses,
-    link_registry_lookup,
     model_lookup,
     sample_coefficients,
     sample_design,
@@ -82,8 +79,6 @@ from .pipeline import (
 )
 from .surrogate import (
     CoefFit,
-    FitOptions,
-    SurrogateProblem,
     fit_coefficients,
     surrogate_objective,
 )

@@ -150,8 +150,7 @@ def _run_fit(args):
     with open(os.path.join(args.out, "report.json"), "w") as handle:
         handle.write(report.to_json(indent=2))
         handle.write("\n")
-    if report.link is not None:
-        report.link.to_csv(os.path.join(args.out, "link.csv"))
+    report.link.to_csv(os.path.join(args.out, "link.csv"))
     return report
 
 

@@ -35,6 +35,7 @@ from .errors import (
 from .monotonize import GridFunction, get_monotonizer
 
 _MAX_EXPONENT = 700.0  # exp overflow guard for the kernel integrand
+_DENOM_TOL = 1e-8  # grid points with |kernel mass| below this * n are masked
 # Cap on the nodes of one quadrature panel.  It bounds the cost of leggauss
 # (O(n^2) memory) and the nodes x n arrays of the grid sums; the 1e-11 rule
 # holds up to omega * panel length of about 1600.
@@ -114,7 +115,6 @@ class DeconvConfig:
     c_h: Optional[float] = None
     monotonizer: str = "rearrange"
     deriv_floor: float = 1e-3
-    denom_tol: float = 1e-8
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -314,7 +314,7 @@ def nw_deconv_grid(
 
     Each grid point x carries the ratio
         sum_i y_i K((x - W_i)/h) / sum_i K((x - W_i)/h);
-    points whose denominator is below denom_tol * n in absolute value are
+    points whose denominator is below _DENOM_TOL * n in absolute value are
     masked invalid (NaN in the returned values).
     """
     w = np.asarray(index.w, dtype=float)
@@ -337,7 +337,7 @@ def nw_deconv_grid(
     cos_x, sin_x = np.cos(arg_x), np.sin(arg_x)
     num = cos_x @ (psi * num_cos) + sin_x @ (psi * num_sin)
     den = cos_x @ (psi * den_cos) + sin_x @ (psi * den_sin)
-    valid = np.abs(den) >= config.denom_tol * len(w)
+    valid = np.abs(den) >= _DENOM_TOL * len(w)
     if not np.any(valid):
         raise EmptyEstimateError("every grid point has negligible kernel mass")
     raw = np.full(len(grid), np.nan)

@@ -120,12 +120,14 @@ def _simulate(model_name, n, p, scheme, seedseq, design=None):
 # figure1: index normality
 # ---------------------------------------------------------------------------
 
+#: (n, p) per model; every other model uses FIGURE1_DEFAULT_SHAPE.
 FIGURE1_SHAPES = {"cloglog": (500, 50)}
+FIGURE1_DEFAULT_SHAPE = (500, 200)
 
 
 def _figure1_rep(model_name, n, p, pilot_kind, seedseq) -> float:
     x, y, beta, _ = _simulate(model_name, n, p, "uniform-sphere", seedseq)
-    pilot = fit_pilot(x, y, pilot_kind, lam=1.0 if pilot_kind == "ridge" else None)
+    pilot = fit_pilot(x, y, pilot_kind)
     est = debias_index(x, y, pilot)
     return float(index_zscores(est, x, beta, pilot)[0])
 
@@ -136,7 +138,6 @@ def figure1(
     reps: int = 200,
     seed: int = 20240,
     jobs: int = 1,
-    default_shape=(500, 200),
 ) -> dict:
     """Pooled first-coordinate z-scores of the index estimator per model."""
     os.makedirs(out_dir, exist_ok=True)
@@ -144,7 +145,7 @@ def figure1(
     rows = []
     summary = {}
     for model_name in models:
-        n, p = FIGURE1_SHAPES.get(model_name, default_shape)
+        n, p = FIGURE1_SHAPES.get(model_name, FIGURE1_DEFAULT_SHAPE)
         pilot_kind = PILOT_FOR_MODEL[model_name]
         seeds = _rep_seeds(seed, reps)
         args = [(model_name, n, p, pilot_kind, s) for s in seeds]
@@ -179,11 +180,15 @@ def figure1(
 # ---------------------------------------------------------------------------
 
 
-def _figure2_rep(model_name, n, p, pilot_kind, deconv_cfg, seedseq) -> float:
+#: Aspect ratio p / n of every figure2 sample size.
+FIGURE2_RATIO = 0.6
+
+
+def _figure2_rep(model_name, n, p, pilot_kind, seedseq) -> float:
     x, y, beta, _ = _simulate(model_name, n, p, "uniform-sphere", seedseq)
-    pilot = fit_pilot(x, y, pilot_kind, lam=1.0 if pilot_kind == "ridge" else None)
+    pilot = fit_pilot(x, y, pilot_kind)
     est = debias_index(x, y, pilot)
-    link = estimate_link(est, y, deconv_cfg)
+    link = estimate_link(est, y, DeconvConfig())
     truth = model_lookup(model_name).link(link.grid)
     return float(np.mean((link.values - truth) ** 2))
 
@@ -191,23 +196,20 @@ def _figure2_rep(model_name, n, p, pilot_kind, deconv_cfg, seedseq) -> float:
 def figure2(
     out_dir: str,
     model: str = "piecewise",
-    ratio: float = 0.6,
     ns: Sequence[int] = (64, 128, 256, 512),
     reps: int = 50,
     seed: int = 20240,
     jobs: int = 1,
-    deconv: Optional[DeconvConfig] = None,
 ) -> dict:
     """Mean squared loss of the link estimate on [-3, 3] against n."""
     os.makedirs(out_dir, exist_ok=True)
-    deconv = deconv or DeconvConfig()
     pilot_kind = PILOT_FOR_MODEL[model]
     rows = []
     mean_losses = {}
     for n in ns:
-        p = max(1, int(round(ratio * n)))
+        p = max(1, int(round(FIGURE2_RATIO * n)))
         seeds = _rep_seeds(seed + n, reps)
-        args = [(model, n, p, pilot_kind, deconv, s) for s in seeds]
+        args = [(model, n, p, pilot_kind, s) for s in seeds]
         losses = _map_reps(_figure2_rep, args, jobs)
         rows.extend((n, rep, _fmt(v)) for rep, v in enumerate(losses))
         mean_losses[int(n)] = float(np.mean(losses))
@@ -222,7 +224,7 @@ def figure2(
     manifest = {
         "experiment": "figure2",
         "model": model,
-        "ratio": ratio,
+        "ratio": FIGURE2_RATIO,
         "ns": [int(n) for n in ns],
         "reps": reps,
         "seed": seed,
@@ -237,6 +239,26 @@ def figure2(
 # ---------------------------------------------------------------------------
 # figure3: marginal normality and CI coverage
 # ---------------------------------------------------------------------------
+
+
+#: (n, p) of figure3: p / n = 2.
+FIGURE3_SHAPE = (250, 500)
+
+#: Ridge pilot, ridge refit and ridge-mode inference, with no split.  The
+#: bandwidth is fixed and wide: with p/n = 2 the pilot's index noise is
+#: large, so the usable link estimate is a heavily smoothed, nearly linear
+#: curve, for which the t-statistic calibration is exact (the same
+#: fixed-bandwidth choice as the reference experiments).
+FIGURE3_CONFIG = PipelineConfig(
+    pilot_kind="ridge",
+    pilot_lam=1.0,
+    deconv=DeconvConfig(bandwidth_mode="fixed", h=2.5),
+    penalty="ridge",
+    penalty_lam=0.1,
+    inference_mode="ridge",
+    alpha=0.05,
+    split=SplitConfig(no_split=True),
+)
 
 
 def _figure3_rep(model_name, n, p, config, scheme, seedseq) -> tuple:
@@ -269,35 +291,16 @@ def _figure3_rep(model_name, n, p, config, scheme, seedseq) -> tuple:
 def figure3(
     out_dir: str,
     model: str = "cloglog",
-    n: int = 250,
-    p: int = 500,
     reps: int = 300,
     seed: int = 20240,
-    alpha: float = 0.05,
-    penalty_lam: float = 0.1,
-    pilot_lam: float = 1.0,
-    bandwidth: float = 2.5,
     jobs: int = 1,
 ) -> dict:
-    """Pooled T_1 statistics and empirical CI coverage (ridge mode).
-
-    The default bandwidth is fixed and wide: with p/n = 2 the pilot's index
-    noise is large, so the usable link estimate is a heavily smoothed,
-    nearly linear curve, for which the t-statistic calibration is exact
-    (the same fixed-bandwidth choice as the reference experiments).
-    """
+    """Pooled T_1 statistics and empirical CI coverage (ridge mode), at
+    FIGURE3_SHAPE with FIGURE3_CONFIG."""
     os.makedirs(out_dir, exist_ok=True)
+    n, p = FIGURE3_SHAPE
+    config = FIGURE3_CONFIG
     scheme = "uniform-sphere"
-    config = PipelineConfig(
-        pilot_kind="ridge",
-        pilot_lam=pilot_lam,
-        deconv=DeconvConfig(bandwidth_mode="fixed", h=bandwidth),
-        penalty="ridge",
-        penalty_lam=penalty_lam,
-        inference_mode="ridge",
-        alpha=alpha,
-        split=SplitConfig(no_split=True),
-    )
     seeds = _rep_seeds(seed, reps)
     args = [(model, n, p, config, scheme, s) for s in seeds]
     results = _map_reps(_figure3_rep, args, jobs)
@@ -316,10 +319,10 @@ def figure3(
         "p": p,
         "reps": reps,
         "seed": seed,
-        "alpha": alpha,
-        "pilot": {"kind": "ridge", "lambda": pilot_lam},
-        "penalty": {"kind": "ridge", "lambda": penalty_lam},
-        "bandwidth": {"mode": "fixed", "h": bandwidth},
+        "alpha": config.alpha,
+        "pilot": {"kind": "ridge", "lambda": config.pilot_lam},
+        "penalty": {"kind": "ridge", "lambda": config.penalty_lam},
+        "bandwidth": {"mode": "fixed", "h": config.deconv.h},
         "beta_scheme": scheme,
         "split": "none (every observation reused in both stages)",
         "summary": {
@@ -377,17 +380,20 @@ def _table1_rep(model_name, n, p, estimators, seedseq) -> dict:
     return out
 
 
+#: (n, p) of table1; the reference does not state them.
+TABLE1_SHAPE = (2000, 50)
+
+
 def table1(
     out_dir: str,
     models: Optional[Sequence[str]] = None,
-    n: int = 2000,
-    p: int = 50,
     reps: int = 100,
     seed: int = 20240,
     jobs: int = 1,
 ) -> dict:
     """Mean and sd of the effective-variance statistic per (model, estimator)."""
     os.makedirs(out_dir, exist_ok=True)
+    n, p = TABLE1_SHAPE
     models = list(models or TABLE1_COMPETITORS)
     rows = []
     summary = {}
@@ -454,6 +460,15 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     raise ConfigError(f"unknown experiment {spec.name!r}")
 
 
+def _custom_rep(model_name, n, p, scheme, design, config, seedseq) -> tuple:
+    s_data, s_split = seedseq.spawn(2)
+    x, y, beta, _ = _simulate(model_name, n, p, scheme, s_data, design)
+    rep_config = _with_split_seed(config, s_split)
+    report = run_pipeline(Dataset(x, y), rep_config, design=design)
+    ev = effective_variance_oracle(report.coef.beta, beta)
+    return report.inference.mu_hat, report.inference.sigma2_hat, ev
+
+
 def _custom_experiment(spec: ExperimentSpec) -> dict:
     """Replicated pipeline runs from a JSON config document."""
     doc = dict(spec.custom_config)
@@ -472,27 +487,13 @@ def _custom_experiment(spec: ExperimentSpec) -> dict:
     reps = spec.reps or 100
     os.makedirs(spec.out_dir, exist_ok=True)
     seeds = _rep_seeds(spec.seed, reps)
-    rows = []
-    eff_vars = []
-    for rep, seedseq in enumerate(seeds):
-        s_data, s_split = seedseq.spawn(2)
-        x, y, beta, _ = _simulate(model_name, n, p, scheme, s_data, design)
-        rep_config = _with_split_seed(config, s_split)
-        report = run_pipeline(Dataset(x, y), rep_config, design=design)
-        ev = effective_variance_oracle(report.coef.beta, beta)
-        eff_vars.append(ev)
-        rows.append(
-            (
-                rep,
-                _fmt(report.inference.mu_hat),
-                _fmt(report.inference.sigma2_hat),
-                _fmt(ev),
-            )
-        )
+    args = [(model_name, n, p, scheme, design, config, s) for s in seeds]
+    results = _map_reps(_custom_rep, args, spec.jobs)
+    eff_vars = [ev for _, _, ev in results]
     _write_csv(
         os.path.join(spec.out_dir, "custom_replications.csv"),
         ["rep", "mu_hat", "sigma2_hat", "effective_variance"],
-        rows,
+        [(rep, *map(_fmt, r)) for rep, r in enumerate(results)],
     )
     manifest = {
         "experiment": "custom",

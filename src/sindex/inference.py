@@ -245,43 +245,6 @@ def effective_variance_estimated(mu_hat: float, sigma2_hat: float) -> float:
     return sigma2_hat / mu_hat ** 2
 
 
-def efficiency_condition_ridge(
-    beta_hat: np.ndarray,
-    vhat_lam: float,
-    lam: float,
-    resid_hat: np.ndarray,
-    beta_tilde: np.ndarray,
-    vtilde: float,
-    lam1: float,
-    resid_tilde: np.ndarray,
-) -> float:
-    """Ridge-mode efficiency diagnostic; a value above one certifies that the
-    refit has smaller effective variance than the pilot (equal split sizes)."""
-    return (
-        np.linalg.norm(beta_hat)
-        / np.linalg.norm(beta_tilde)
-        * (abs(vhat_lam + lam) / abs(vtilde + lam1))
-        * (np.linalg.norm(resid_tilde) / np.linalg.norm(resid_hat))
-    )
-
-
-def efficiency_condition_ls(
-    xb_hat: np.ndarray,
-    vhat0: float,
-    resid_hat: np.ndarray,
-    xb_tilde: np.ndarray,
-    kappa1: float,
-    resid_tilde: np.ndarray,
-) -> float:
-    """Unregularized efficiency diagnostic against a least-squares pilot."""
-    return (
-        np.linalg.norm(xb_hat)
-        / np.linalg.norm(xb_tilde)
-        * (abs(vhat0) / (1.0 - kappa1))
-        * (np.linalg.norm(resid_tilde) / np.linalg.norm(resid_hat))
-    )
-
-
 def joint_transform(sigma: np.ndarray, coords: Sequence[int]) -> np.ndarray:
     """Whitening matrix for a finite coordinate set S.
 

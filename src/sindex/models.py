@@ -251,11 +251,6 @@ def model_lookup(variant: str) -> SimModel:
         ) from None
 
 
-def link_registry_lookup(variant: str) -> LinkFunction:
-    """Return the link function used by a built-in model variant."""
-    return model_lookup(variant).link
-
-
 def sample_design(n: int, spec: DesignSpec, seed) -> np.ndarray:
     """Draw n i.i.d. rows from N_p(0, Sigma) through the Cholesky factor."""
     if n < 1:

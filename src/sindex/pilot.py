@@ -23,7 +23,7 @@ from .errors import (
     SolverError,
 )
 from .models import EXP_LINK, IDENTITY_LINK, LOGISTIC_LINK
-from .surrogate import SurrogateProblem, WorkingLink, fit_coefficients
+from .surrogate import WorkingLink, fit_coefficients
 
 PILOT_KINDS = ("ridge", "ls", "logit-mle", "pois-mle")
 
@@ -61,13 +61,12 @@ def ridge_fit(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """
     if lam <= 0:
         raise ConfigError("ridge penalty must be positive")
-    beta, _ = _ridge_solve(x, y, lam, want_trace=False)
-    return beta
+    return _ridge_solve(x, y, lam)[0]
 
 
-def _ridge_solve(x, y, lam, want_trace=True):
-    """Solve the ridge system, optionally returning tr(I - X A^{-1} X') / n
-    from the same factorization."""
+def _ridge_solve(x, y, lam):
+    """Solve the ridge system, and return tr(I - X A^{-1} X') / n from the
+    same factorization."""
     n, p = x.shape
     c = n * lam
     dual = p > n
@@ -76,8 +75,6 @@ def _ridge_solve(x, y, lam, want_trace=True):
     except LinAlgError as err:
         raise SolverError(f"ridge system could not be factorized: {err}") from err
     beta = x.T @ cho_solve(fac, y) if dual else cho_solve(fac, x.T @ y)
-    if not want_trace:
-        return beta, None
     tr_inv = np.trace(cho_inverse(fac))
     # tr(I_n - X A^{-1} X') is tr(c G^{-1}) for the dual G = XX' + cI, and
     # n - p + c tr(A^{-1}) for the primal A = X'X + cI.
@@ -111,9 +108,8 @@ def glm_mle_fit(x: np.ndarray, y: np.ndarray, family: str) -> np.ndarray:
         raise ConfigError("poisson family needs nonnegative integer responses")
     if x.shape[0] <= x.shape[1]:
         raise NonIdentifiableError(f"{family} MLE needs n > p")
-    prob = SurrogateProblem(GLM_LINKS[family])
     try:
-        beta, failure = fit_coefficients(x, y, prob).beta, None
+        beta, failure = fit_coefficients(x, y, GLM_LINKS[family]).beta, None
     except NonConvergenceError as err:
         beta, failure = err.beta, err
     if np.linalg.norm(beta) > _DIVERGENCE_NORM:
@@ -234,7 +230,7 @@ def fit_pilot(
         lam = 1.0 if lam is None else lam
         if lam <= 0:
             raise ConfigError("ridge penalty must be positive")
-        beta, v = _ridge_solve(x, y, lam, want_trace=True)
+        beta, v = _ridge_solve(x, y, lam)
         adj = observable_adjustments(x, y, beta, IDENTITY_LINK, v, lam)
         return PilotFit(beta=beta, kind=kind, lam=lam, adjustments=adj)
     if kind == "ls":

@@ -21,9 +21,9 @@ from .inference import (
     adjust_inferential,
     marginal_inference,
 )
-from .models import Dataset, DesignSpec, LinkFunction
+from .models import Dataset, DesignSpec
 from .pilot import PilotFit, fit_pilot
-from .surrogate import CoefFit, FitOptions, SurrogateProblem, fit_coefficients
+from .surrogate import CoefFit, fit_coefficients
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,6 @@ class PipelineConfig:
     inference_mode: str = "ridge"
     alpha: float = 0.05
     split: SplitConfig = field(default_factory=SplitConfig)
-    fit_options: FitOptions = field(default_factory=FitOptions)
-    bypass_link: Optional[LinkFunction] = None
-    censor_window: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
         if self.penalty not in ("none", "ridge"):
@@ -167,7 +164,7 @@ class PipelineConfig:
 class PipelineReport:
     pilot: PilotFit
     index: IndexEstimate
-    link: Optional[LinkEstimate]
+    link: LinkEstimate
     coef: CoefFit
     inference: InferenceReport
     kappa1: float
@@ -202,9 +199,7 @@ class PipelineReport:
                 "varsigma2": self.index.varsigma2,
                 "w": self.index.w.tolist(),
             },
-            "link": None
-            if self.link is None
-            else {
+            "link": {
                 "h": self.link.h,
                 "window": list(self.link.window),
                 "grid": self.link.grid.tolist(),
@@ -213,7 +208,7 @@ class PipelineReport:
             },
             "coef": {
                 "beta": self.coef.beta.tolist(),
-                "penalty": self.coef.penalty,
+                "penalty": "ridge" if self.coef.lam > 0 else "none",
                 "lambda": self.coef.lam,
                 "iterations": self.coef.iterations,
                 "grad_norm": self.coef.grad_norm,
@@ -242,8 +237,7 @@ def run_pipeline(
     """Run the four estimation steps on a dataset.
 
     The design spec supplies the coordinate scales tau_j when the covariance
-    is known (simulation); otherwise tau_j = 1 is used.  A bypass link in the
-    config replaces the estimated link in the fit and inference stages.
+    is known (simulation); otherwise tau_j = 1 is used.
     """
     n, p = data.n, data.p
     with _stage("split"):
@@ -254,26 +248,21 @@ def run_pipeline(
         pilot = fit_pilot(x1, y1, config.pilot_kind, config.pilot_lam)
     with _stage("index"):
         index = debias_index(x1, y1, pilot)
-    link = None
-    if config.bypass_link is None:
-        with _stage("link"):
-            link = estimate_link(index, y1, config.deconv)
-    working = config.bypass_link or link
+    with _stage("link"):
+        link = estimate_link(index, y1, config.deconv)
     with _stage("coef"):
-        prob = SurrogateProblem(working, config.penalty, config.penalty_lam)
-        coef = fit_coefficients(x2, y2, prob, config.fit_options)
+        coef = fit_coefficients(x2, y2, link, config.penalty_lam)
     censor = None
     if config.inference_mode == "censored":
-        lo, hi = config.censor_window or config.deconv.window
-        censor = CensoredAdjustment(lo, hi)
+        censor = CensoredAdjustment(*config.deconv.window)
     with _stage("inference"):
         mu_hat, sigma2_hat = adjust_inferential(
             x2,
             y2,
             coef.beta,
-            working,
+            link,
             mode=config.inference_mode,
-            lam=config.penalty_lam if config.inference_mode == "ridge" else 0.0,
+            lam=config.penalty_lam,
             censor=censor,
         )
         tau = design.tau if design is not None else np.ones(p)

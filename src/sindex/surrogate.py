@@ -8,11 +8,12 @@ derivative is floored away from zero.
 A working link is any object with evaluate(t) -> (G, g, g'): a built-in
 models.LinkFunction, or the deconvolution estimate deconv.LinkEstimate.
 The solver evaluates it once per trial iterate and takes the objective,
-the gradient and the next Newton system from that one evaluation.
+the gradient and the next Newton system from that one evaluation.  The
+penalty is a ridge of per-sample level lam, on exactly when lam > 0.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
@@ -28,47 +29,19 @@ from .errors import (
 )
 from .models import LinkFunction
 
-PENALTIES = ("none", "ridge")
-
 #: The two working links: each has evaluate(t) -> (G, g, g').
 WorkingLink = Union[LinkFunction, LinkEstimate]
 
+#: Newton stops once the gradient inf-norm is below this.
+_TOL = 1e-8
 
-@dataclass(frozen=True)
-class SurrogateProblem:
-    """Working link and penalty of the surrogate loss.
-
-    link.evaluate(t) gives (G, g, g') at the indices t, for the objective,
-    the gradient and the Hessian.  lam is the per-sample ridge level: the
-    fitted objective carries n lam ||b||^2 / 2, matching the convention of
-    the ridge pilot and of the inferential adjustment traces (which
-    regularize X'DX by n lam I).
-    """
-
-    link: WorkingLink
-    penalty: str = "none"
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if self.penalty not in PENALTIES:
-            raise ConfigError(f"penalty must be one of {PENALTIES}")
-        if self.penalty == "ridge" and self.lam <= 0:
-            raise ConfigError("ridge penalty needs lambda > 0")
-        if self.penalty == "none" and self.lam != 0.0:
-            raise ConfigError("penalty 'none' cannot carry a lambda")
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    tol: float = 1e-8
-    max_iter: int = 100
-    max_halvings: int = 30
+#: Step halvings the backtracking line search may take per iteration.
+_MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
 class CoefFit:
     beta: np.ndarray
-    penalty: str
     lam: float
     iterations: int
     grad_norm: float
@@ -76,13 +49,13 @@ class CoefFit:
 
 
 def surrogate_objective(
-    b: np.ndarray, x: np.ndarray, y: np.ndarray, prob: SurrogateProblem
+    b: np.ndarray, x: np.ndarray, y: np.ndarray, link: WorkingLink, lam: float = 0.0
 ):
     """Objective value, gradient, and Hessian of the penalized surrogate loss."""
-    value, g, gprime = _evaluate(x, y, b, prob)
+    value, g, gprime = _evaluate(x, y, b, link, lam)
     if not np.isfinite(value):
         raise ObjectiveOverflowError("surrogate objective is non-finite")
-    ridge = prob.lam * x.shape[0] if prob.penalty == "ridge" else 0.0
+    ridge = lam * x.shape[0]
     grad = x.T @ (g - y) + ridge * b
     hess = weighted_gram(x, gprime, ridge)
     if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
@@ -90,15 +63,15 @@ def surrogate_objective(
     return value, grad, hess
 
 
-def _evaluate(x, y, b, prob):
+def _evaluate(x, y, b, link, lam):
     """Objective value (inf or nan on overflow), link values and link
     derivative at b, from one evaluation of the working link."""
     t = x @ b
     with np.errstate(over="ignore"):
-        big_g, g, gprime = prob.link.evaluate(t)
+        big_g, g, gprime = link.evaluate(t)
         value = float(np.sum(big_g) - float(y @ t))
-    if prob.penalty == "ridge":
-        value += 0.5 * prob.lam * len(t) * float(b @ b)
+    if lam > 0:
+        value += 0.5 * lam * len(t) * float(b @ b)
     return value, g, gprime
 
 
@@ -135,36 +108,44 @@ def _newton_direction(x, w, ridge, grad):
 def fit_coefficients(
     x: np.ndarray,
     y: np.ndarray,
-    prob: SurrogateProblem,
-    opts: Optional[FitOptions] = None,
+    link: WorkingLink,
+    lam: float = 0.0,
+    max_iter: int = 100,
 ) -> CoefFit:
-    """Minimize the surrogate loss by damped Newton from zero.
+    """Minimize the surrogate loss sum G(x'b) - y x'b + n lam ||b||^2 / 2
+    by damped Newton from zero.
 
-    Stops when the gradient inf-norm drops below opts.tol; raises a
-    diagnostics-carrying error when the iteration budget runs out.
+    link.evaluate(t) gives (G, g, g') at the indices t, for the objective,
+    the gradient and the Hessian.  lam is the per-sample ridge level: the
+    penalty n lam ||b||^2 / 2 matches the convention of the ridge pilot and
+    of the inferential adjustment traces (which regularize X'DX by n lam I).
+    lam = 0 fits unpenalized and needs n > p.
+
+    Stops when the gradient inf-norm drops below 1e-8; raises a
+    diagnostics-carrying error when max_iter iterations run out.
     """
-    opts = opts or FitOptions()
     n, p = x.shape
-    if prob.penalty == "none" and n <= p:
+    if lam < 0:
+        raise ConfigError("ridge lambda must be nonnegative")
+    if lam == 0 and n <= p:
         raise ConfigError(
             "unpenalized fitting needs n > p; use the ridge penalty instead"
         )
-    ridge = prob.lam * n if prob.penalty == "ridge" else 0.0
+    ridge = lam * n
     beta = np.zeros(p)
-    objective, g, gprime = _evaluate(x, y, beta, prob)
+    objective, g, gprime = _evaluate(x, y, beta, link, lam)
     if not np.isfinite(objective):
         raise ObjectiveOverflowError("surrogate objective is non-finite")
     grad = x.T @ (g - y) + ridge * beta
     grad_norm = np.inf
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, max_iter + 1):
         if not np.all(np.isfinite(grad)):
             raise ObjectiveOverflowError("surrogate gradient is non-finite")
         grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm < opts.tol:
+        if grad_norm < _TOL:
             return CoefFit(
                 beta=beta,
-                penalty=prob.penalty,
-                lam=prob.lam,
+                lam=lam,
                 iterations=it - 1,
                 grad_norm=grad_norm,
                 converged=True,
@@ -175,7 +156,7 @@ def fit_coefficients(
         # Armijo test alone stalls below that resolution; the gradient test
         # alone cycles on a piecewise-linear link), else backtrack from it.
         candidate = beta + direction
-        value, g, gprime = _evaluate(x, y, candidate, prob)
+        value, g, gprime = _evaluate(x, y, candidate, link, lam)
         cand_grad = x.T @ (g - y) + ridge * candidate
         if not (
             np.isfinite(value)
@@ -186,7 +167,7 @@ def fit_coefficients(
             slope = float(grad @ direction)
             step, halvings = 1.0, 0
             while not (np.isfinite(value) and value < objective + 1e-4 * step * slope):
-                if halvings == opts.max_halvings:
+                if halvings == _MAX_HALVINGS:
                     raise NonConvergenceError(
                         "line search failed to decrease the surrogate objective",
                         iterations=it,
@@ -196,13 +177,13 @@ def fit_coefficients(
                 step *= 0.5
                 halvings += 1
                 candidate = beta + step * direction
-                value, g, gprime = _evaluate(x, y, candidate, prob)
+                value, g, gprime = _evaluate(x, y, candidate, link, lam)
             cand_grad = x.T @ (g - y) + ridge * candidate
         beta, objective, grad = candidate, value, cand_grad
     raise NonConvergenceError(
-        f"Newton did not converge in {opts.max_iter} iterations "
+        f"Newton did not converge in {max_iter} iterations "
         f"(gradient inf-norm {grad_norm:.3e})",
-        iterations=opts.max_iter,
+        iterations=max_iter,
         grad_norm=grad_norm,
         beta=beta,
     )

@@ -26,7 +26,7 @@ from sindex.models import (
     sample_design,
 )
 from sindex.pipeline import PipelineConfig, SplitConfig, run_pipeline
-from sindex.surrogate import SurrogateProblem, fit_coefficients, surrogate_objective
+from sindex.surrogate import fit_coefficients, surrogate_objective
 
 
 def report(number, name, ok, detail):
@@ -111,14 +111,14 @@ def test_criterion_5_oracle_equivalences():
     # surrogate with identity link = least squares
     x = rng.standard_normal((80, 10))
     y = x @ rng.normal(size=10) + 0.3 * rng.standard_normal(80)
-    fit = fit_coefficients(x, y, SurrogateProblem(IDENTITY_LINK))
+    fit = fit_coefficients(x, y, IDENTITY_LINK)
     gap_ls = float(np.max(np.abs(fit.beta - np.linalg.lstsq(x, y, rcond=None)[0])))
     details.append(f"identity-vs-LS {gap_ls:.1e}")
 
     # surrogate with logistic link = logistic MLE via independent IRLS
     t = x @ (0.4 * rng.normal(size=10))
     yb = (rng.random(80) < expit(t)).astype(float)
-    fit_l = fit_coefficients(x, yb, SurrogateProblem(LOGISTIC_LINK))
+    fit_l = fit_coefficients(x, yb, LOGISTIC_LINK)
     b = np.zeros(10)
     for _ in range(200):
         eta = x @ b
@@ -196,15 +196,14 @@ def test_criterion_6_numerical_properties(tmp_path):
         n, p = int(rng.integers(20, 60)), int(rng.integers(2, 8))
         x = rng.standard_normal((n, p))
         yb = (rng.random(n) < 0.5).astype(float)
-        prob = SurrogateProblem(LOGISTIC_LINK, "ridge", 0.2)
         b = 0.3 * rng.normal(size=p)
-        _, grad, _ = surrogate_objective(b, x, yb, prob)
+        _, grad, _ = surrogate_objective(b, x, yb, LOGISTIC_LINK, 0.2)
         fd = np.zeros(p)
         for j in range(p):
             e = np.zeros(p)
             e[j] = 1e-6
-            vp, _, _ = surrogate_objective(b + e, x, yb, prob)
-            vm, _, _ = surrogate_objective(b - e, x, yb, prob)
+            vp, _, _ = surrogate_objective(b + e, x, yb, LOGISTIC_LINK, 0.2)
+            vm, _, _ = surrogate_objective(b - e, x, yb, LOGISTIC_LINK, 0.2)
             fd[j] = (vp - vm) / 2e-6
         worst = max(worst, float(np.max(np.abs(fd - grad)) / np.max(np.abs(grad))))
     details.append(f"grad-FD rel {worst:.1e}")

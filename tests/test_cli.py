@@ -199,13 +199,15 @@ def test_csv_round_trip_is_bit_identical(table):
     assert back.y.tobytes() == data.y.tobytes()
 
 
-def test_custom_experiment_rows_equal_direct_runs(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_custom_experiment_rows_equal_direct_runs(tmp_path, jobs):
     doc = {"pilot": {"kind": "ridge", "lambda": 1.0}, "split": {"fraction": 0.5}}
     spec = ExperimentSpec(
         name="custom",
         out_dir=str(tmp_path),
         reps=3,
         seed=11,
+        jobs=jobs,
         custom_config={"model": "cloglog", "n": 200, "p": 40, **doc},
     )
     run_experiment(spec)

@@ -1,4 +1,4 @@
-"""Inferential parameters, intervals, oracles, and efficiency diagnostics."""
+"""Inferential parameters, intervals, and oracles."""
 
 import numpy as np
 import pytest
@@ -9,23 +9,13 @@ from sindex.inference import (
     adjust_inferential,
     effective_variance_estimated,
     effective_variance_oracle,
-    efficiency_condition_ridge,
     joint_transform,
     marginal_inference,
     oracle_params,
     vhat,
 )
-from sindex.models import (
-    Dataset,
-    DesignSpec,
-    IDENTITY_LINK,
-    LinkFunction,
-    generate_responses,
-    model_lookup,
-    sample_coefficients,
-    sample_design,
-)
-from sindex.pilot import fit_pilot, least_squares_fit, pilot_adjustments
+from sindex.models import IDENTITY_LINK, LinkFunction
+from sindex.pilot import least_squares_fit, pilot_adjustments
 
 rng = np.random.default_rng(606)
 
@@ -185,53 +175,6 @@ def test_effective_variance_forms():
     assert effective_variance_estimated(2.0, 1.0) == pytest.approx(0.25)
     with pytest.raises(DegenerateError):
         effective_variance_estimated(0.0, 1.0)
-
-
-def test_efficiency_condition_matches_direct_comparison():
-    # Prop-style equivalence: the three-factor product exceeds one exactly
-    # when the refit's estimated effective variance beats the pilot's
-    # (equal split sizes).
-    spec = DesignSpec.identity(30)
-    model = model_lookup("cubic")
-    checked = 0
-    for ss in np.random.SeedSequence(77).spawn(25):
-        s_beta, s_x, s_y, s_x2, s_y2 = ss.spawn(5)
-        beta = sample_coefficients(30, "uniform-sphere", spec, s_beta)
-        x1 = sample_design(120, spec, s_x)
-        y1 = generate_responses(x1, beta, model, s_y)
-        x2 = sample_design(120, spec, s_x2)
-        y2 = generate_responses(x2, beta, model, s_y2)
-        lam1, lam2 = 0.4, 0.2
-        pilot = fit_pilot(x1, y1, "ridge", lam1)
-        from sindex.surrogate import SurrogateProblem, fit_coefficients
-        from sindex.models import CUBIC_LINK
-
-        prob = SurrogateProblem(CUBIC_LINK, "ridge", lam2)
-        fit = fit_coefficients(x2, y2, prob)
-        v_hat = vhat(x2, fit.beta, CUBIC_LINK, lam=lam2)
-        mu_hat, s2_hat = adjust_inferential(
-            x2, y2, fit.beta, CUBIC_LINK, "ridge", lam=lam2
-        )
-        # skip instances where the absolute value in mu flips sign
-        if fit.beta @ fit.beta <= s2_hat or pilot.beta @ pilot.beta <= pilot.adjustments.sigma2:
-            continue
-        lhs = efficiency_condition_ridge(
-            fit.beta,
-            v_hat,
-            lam2,
-            y2 - CUBIC_LINK.value(x2 @ fit.beta),
-            pilot.beta,
-            pilot.adjustments.v,
-            lam1,
-            y1 - x1 @ pilot.beta,
-        )
-        eff_hat = effective_variance_estimated(mu_hat, s2_hat)
-        eff_tilde = effective_variance_estimated(
-            pilot.adjustments.mu, pilot.adjustments.sigma2
-        )
-        assert (lhs > 1.0) == (eff_hat < eff_tilde)
-        checked += 1
-    assert checked >= 20
 
 
 def test_joint_transform_whitens_precision_block():

@@ -9,7 +9,6 @@ from sindex.models import (
     DesignSpec,
     MODELS,
     generate_responses,
-    link_registry_lookup,
     model_lookup,
     sample_coefficients,
     sample_design,
@@ -19,22 +18,22 @@ VARIANTS = sorted(MODELS)
 
 
 def test_registry_values_at_zero():
-    assert link_registry_lookup("xsqrt")(0.0) == pytest.approx(1.0)
-    assert link_registry_lookup("piecewise")(0.0) == pytest.approx(0.0)
-    assert link_registry_lookup("cloglog")(0.0) == pytest.approx(1 - np.exp(-1))
-    assert link_registry_lookup("logit")(0.0) == pytest.approx(0.5)
+    assert model_lookup("xsqrt").link(0.0) == pytest.approx(1.0)
+    assert model_lookup("piecewise").link(0.0) == pytest.approx(0.0)
+    assert model_lookup("cloglog").link(0.0) == pytest.approx(1 - np.exp(-1))
+    assert model_lookup("logit").link(0.0) == pytest.approx(0.5)
 
 
 def test_unknown_variant_raises():
     with pytest.raises(ConfigError):
-        link_registry_lookup("probit")
+        model_lookup("probit").link
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_link_derivative_matches_finite_differences(variant):
     # relative to the derivative's scale on the window; a pointwise ratio
     # would only measure float cancellation where g' underflows
-    link = link_registry_lookup(variant)
+    link = model_lookup(variant).link
     xs = np.linspace(-3, 3, 601)
     # keep clear of the piecewise kink points where the derivative jumps
     if variant.startswith("piecewise"):
@@ -47,14 +46,14 @@ def test_link_derivative_matches_finite_differences(variant):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_link_derivative_positive_on_grid(variant):
-    link = link_registry_lookup(variant)
+    link = model_lookup(variant).link
     grid = np.linspace(-3, 3, 1000)
     assert np.min(link.deriv(grid)) > 0
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_link_antiderivative_consistent(variant):
-    link = link_registry_lookup(variant)
+    link = model_lookup(variant).link
     xs = np.linspace(-3, 3, 201)
     eps = 1e-5
     fd = (link.antideriv(xs + eps) - link.antideriv(xs - eps)) / (2 * eps)
@@ -62,7 +61,7 @@ def test_link_antiderivative_consistent(variant):
 
 
 def test_piecewise_branches_agree_at_kinks():
-    link = link_registry_lookup("piecewise")
+    link = model_lookup("piecewise").link
     assert abs(0.2 * 1 + 2.3 - 2.5 * 1) < 1e-12
     assert abs(link(1.0) - 2.5) < 1e-12
     assert abs(link(-1.0) - (-2.5)) < 1e-12

@@ -26,7 +26,7 @@ from sindex.pilot import (
     pilot_adjustments,
     ridge_fit,
 )
-from sindex.surrogate import FitOptions, SurrogateProblem, fit_coefficients, surrogate_objective
+from sindex.surrogate import fit_coefficients, surrogate_objective
 
 rng = np.random.default_rng(101)
 
@@ -113,16 +113,16 @@ def test_glm_stationarity_contract():
     assert np.max(np.abs(grad)) < 1e-8
 
 
-def _objective_path(x, y, prob, caps):
+def _objective_path(x, y, link, lam, caps):
     """Objective at the fit returned under each iteration cap, and the last
     iterate."""
     path = []
     for cap in caps:
         try:
-            beta = fit_coefficients(x, y, prob, FitOptions(max_iter=cap)).beta
+            beta = fit_coefficients(x, y, link, lam, max_iter=cap).beta
         except NonConvergenceError as err:
             beta = err.beta
-        path.append(surrogate_objective(beta, x, y, prob)[0])
+        path.append(surrogate_objective(beta, x, y, link, lam)[0])
     return path, beta
 
 
@@ -132,8 +132,7 @@ def test_glm_objective_monotone_on_accepted_steps():
     # log-likelihoods, and the uncapped fit is glm_mle_fit's answer.
     x = rng.standard_normal((100, 4))
     y = rng.poisson(np.exp(0.3 * x[:, 0])).astype(float)
-    prob = SurrogateProblem(GLM_LINKS["poisson"])
-    path, beta = _objective_path(x, y, prob, (1, 2, 3, 5, 8, 30))
+    path, beta = _objective_path(x, y, GLM_LINKS["poisson"], 0.0, (1, 2, 3, 5, 8, 30))
     assert all(b <= a + 1e-9 for a, b in zip(path, path[1:]))
     assert np.array_equal(beta, glm_mle_fit(x, y, "poisson"))
     # The same on a gridded link: figure3's refit after a near-degenerate
@@ -144,7 +143,7 @@ def test_glm_objective_monotone_on_accepted_steps():
     )
     index = debias_index(x, y, fit_pilot(x, y, "ridge", 1.0))
     link = estimate_link(index, y, DeconvConfig(bandwidth_mode="fixed", h=2.5))
-    path, _ = _objective_path(x, y, SurrogateProblem(link, "ridge", 0.1), range(30, 41))
+    path, _ = _objective_path(x, y, link, 0.1, range(30, 41))
     assert all(b <= a + 1e-9 for a, b in zip(path, path[1:]))
 
 

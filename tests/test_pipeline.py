@@ -13,7 +13,6 @@ from sindex.deconv import KERNELS, DeconvConfig
 from sindex.errors import ConfigError, PipelineError, SplitError
 from sindex.experiments import _map_reps, _simulate
 from sindex.models import (
-    CLOGLOG_LINK,
     Dataset,
     DesignSpec,
     generate_responses,
@@ -22,7 +21,6 @@ from sindex.models import (
     sample_design,
 )
 from sindex.pipeline import PipelineConfig, SplitConfig, run_pipeline, split_data
-from sindex.surrogate import SurrogateProblem, fit_coefficients
 
 
 def make_data(n=400, p=160, model="cloglog", seed=77):
@@ -117,25 +115,6 @@ def test_no_split_matches_manual_full_index():
     report = run_pipeline(data, config, design=spec)
     assert report.n1 == report.n2 == data.n
     assert report.kappa1 == report.kappa2 == data.p / data.n
-
-
-def test_bypass_mode_equals_direct_fit():
-    data, _, spec = make_data(n=300, p=30)
-    config = PipelineConfig(
-        pilot_kind="ridge",
-        pilot_lam=1.0,
-        penalty="none",
-        penalty_lam=0.0,
-        inference_mode="unregularized",
-        split=SplitConfig(no_split=True),
-        bypass_link=CLOGLOG_LINK,
-    )
-    report = run_pipeline(data, config, design=spec)
-    assert report.link is None
-    direct = fit_coefficients(
-        data.x, data.y, SurrogateProblem(CLOGLOG_LINK)
-    )
-    assert np.max(np.abs(report.coef.beta - direct.beta)) < 1e-12
 
 
 #: figure3's and table1's pipeline configurations.
