@@ -68,7 +68,6 @@ from .pilot import (
     least_squares_fit,
     observable_adjustments,
     pilot_adjustments,
-    ridge_fit,
 )
 from .pipeline import (
     PipelineConfig,

@@ -1,7 +1,12 @@
 """Weighted Gram matrices, their Cholesky inverses, and the adjustment trace.
 
-Each Gram matrix is built once as S'S (or SS' on the dual path) from
-S = D^{1/2} X, which BLAS evaluates as a symmetric rank-k update (syrk).
+A weighted Gram matrix is S'S (or SS' on the dual path) with S = D^{1/2} X,
+which BLAS evaluates as a symmetric rank-k update (syrk).  One fit solves
+against several of them on the same design: the ridge pilot, every Newton
+step of the refit, and the inference trace at the fitted coefficients.  A
+Gram object keeps the work that carries over between them: on the dual
+path the unweighted XX', rescaled for each weight vector; on the primal
+path the last X'DX, updated over the rows whose weight changed.
 """
 
 import numpy as np
@@ -9,6 +14,11 @@ from scipy.linalg import cho_factor, LinAlgError
 from scipy.linalg.lapack import dpotri
 
 from .errors import RankError
+
+#: The primal X'DX is updated over the changed rows when at most this share
+#: of the weights changed, and rebuilt otherwise: at 2000 x 800, updating
+#: half of the rows costs about as much as the rebuild.
+_UPDATE_SHARE = 0.5
 
 
 def weighted_gram(x, weights=None, ridge=0.0, dual=False):
@@ -26,6 +36,60 @@ def weighted_gram(x, weights=None, ridge=0.0, dual=False):
     return gram.T
 
 
+class Gram:
+    """Weighted Gram matrices of one design x, for a sequence of weights.
+
+    weighted(weights, ridge, dual) equals weighted_gram(x, weights, ridge,
+    dual) up to rounding, and returns a fresh Fortran-ordered matrix that
+    the caller may factor in place.
+    """
+
+    def __init__(self, x):
+        self.x = x
+        self._xxt = None
+        self._xdx = None
+        self._weights = None
+
+    def weighted(self, weights=None, ridge=0.0, dual=False):
+        if dual:
+            if self._xxt is None:
+                self._xxt = weighted_gram(self.x, dual=True)
+            if weights is None:
+                gram = self._xxt.copy(order="F")
+            else:
+                s = np.sqrt(weights)
+                gram = np.multiply(self._xxt, s[:, None], order="F")
+                gram *= s
+        else:
+            gram = self._primal(weights).copy(order="F")
+        if ridge > 0.0:
+            gram[np.diag_indices_from(gram)] += ridge
+        return gram
+
+    def _primal(self, weights):
+        """X'DX, from the last one when few weights changed."""
+        weights = np.ones(len(self.x)) if weights is None else np.array(weights, dtype=float)
+        if self._weights is not None:
+            delta = weights - self._weights
+            changed = np.flatnonzero(delta)
+            if len(changed) <= _UPDATE_SHARE * len(weights) and np.all(
+                np.isfinite(delta[changed])
+            ):
+                # X'D'X = X'DX + S+'S+ - S-'S-, where S+ (S-) is
+                # |w' - w|^{1/2} X over the rows whose weight rose (fell).
+                rise = changed[delta[changed] > 0]
+                fall = changed[delta[changed] < 0]
+                if len(rise):
+                    self._xdx += weighted_gram(self.x[rise], delta[rise])
+                if len(fall):
+                    self._xdx -= weighted_gram(self.x[fall], -delta[fall])
+                self._weights = weights
+                return self._xdx
+        self._xdx = weighted_gram(self.x, weights)
+        self._weights = weights
+        return self._xdx
+
+
 def cho_inverse(factor):
     """A^{-1} from factor = cho_factor(A), overwriting the factor.
 
@@ -39,20 +103,24 @@ def cho_inverse(factor):
     return inv
 
 
-def adjustment_trace(x: np.ndarray, weights: np.ndarray, ridge: float) -> float:
+def adjustment_trace(
+    x: np.ndarray, weights: np.ndarray, ridge: float, gram=None
+) -> float:
     """tr(D - D X (X'DX + ridge I)^{-1} X'D) with D = diag(weights).
 
     For ridge > 0 and p > n the push-through identity gives
     tr = ridge * tr(D (S S' + ridge I)^{-1}) with S = D^{1/2} X.  Otherwise
     tr(B^{-1} C), B = X'DX + ridge I and C = (DX)'(DX) both symmetric, is
-    summed over the upper triangle of B^{-1}.  Raises RankError when the
-    Gram matrix is singular.
+    summed over the upper triangle of B^{-1}.  gram, a Gram of x, supplies
+    B (or SS' + ridge I); without it a private one is built.  Raises
+    RankError when the Gram matrix is singular.
     """
     n, p = x.shape
     weights = np.asarray(weights, dtype=float)
     dual = ridge > 0.0 and p > n
+    gram = Gram(x) if gram is None else gram
     try:
-        fac = cho_factor(weighted_gram(x, weights, ridge, dual), overwrite_a=True)
+        fac = cho_factor(gram.weighted(weights, ridge, dual), overwrite_a=True)
     except LinAlgError as err:
         raise RankError(f"weighted Gram matrix is singular: {err}") from err
     inv = cho_inverse(fac)

@@ -124,14 +124,16 @@ def adjust_inferential(
     mode: str = "unregularized",
     lam: float = 0.0,
     censor: Optional[CensoredAdjustment] = None,
+    gram=None,
 ) -> Tuple[float, float]:
     """Estimate the inferential bias mu and variance sigma^2 of beta_hat.
 
     They are the observable adjustments (pilot.observable_adjustments) of
-    the fit with working link `link` and v = vhat.  The ridge mode uses lam
-    and ||b||^2; the unregularized mode uses lam = 0 and ||Xb||^2/n; the
-    censored mode is the unregularized one with the fitted indices clamped
-    inside every norm and weight.
+    the fit with working link `link` and v = vhat, from one evaluation of
+    the link.  The ridge mode uses lam and ||b||^2; the unregularized mode
+    uses lam = 0 and ||Xb||^2/n; the censored mode is the unregularized one
+    with the fitted indices clamped inside every norm and weight.  gram, a
+    Gram of x, supplies the trace's Gram matrix; pass the refit's.
     """
     if mode not in INFERENCE_MODES:
         raise ConfigError(
@@ -142,9 +144,13 @@ def adjust_inferential(
     if mode == "censored" and censor is None:
         raise ConfigError("censored mode needs a censoring window")
     lam = lam if mode == "ridge" else 0.0
-    window = censor if mode == "censored" else None
-    v = vhat(x, beta_hat, link, lam=lam, censor=window)
-    adj = observable_adjustments(x, y, beta_hat, link, v, lam, window)
+    n = x.shape[0]
+    z = x @ beta_hat
+    if mode == "censored":
+        z = censor.censor(z)
+    _, fitted, weights = link.evaluate(z)
+    v = adjustment_trace(x, np.asarray(weights, dtype=float), n * lam, gram) / n
+    adj = observable_adjustments(y, beta_hat, z, fitted, v, lam)
     return adj.mu, adj.sigma2
 
 

@@ -256,7 +256,16 @@ def sample_design(n: int, spec: DesignSpec, seed) -> np.ndarray:
     if n < 1:
         raise ConfigError("need at least one row")
     draw = np.random.default_rng(seed).standard_normal((n, spec.p))
-    return draw if np.array_equal(spec.chol, np.eye(spec.p)) else draw @ spec.chol.T
+    # Identity test without a p x p temporary: the flattened factor has its
+    # diagonal at every (p + 1)-th entry, and the p entries between two
+    # diagonal ones are the first p columns of flat[1:] read as
+    # (p - 1) x (p + 1).
+    p = spec.p
+    flat = spec.chol.reshape(-1)
+    identity = np.all(flat[:: p + 1] == 1.0) and not np.any(
+        flat[1:].reshape(p - 1, p + 1)[:, :p]
+    )
+    return draw if identity else draw @ spec.chol.T
 
 
 def sample_coefficients(p: int, scheme: str, spec: DesignSpec, seed) -> np.ndarray:

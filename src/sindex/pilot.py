@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from ._linalg import adjustment_trace, cho_inverse, weighted_gram
+from ._linalg import Gram, adjustment_trace, cho_inverse, weighted_gram
 from .errors import (
     ConfigError,
     DegenerateError,
@@ -22,8 +22,8 @@ from .errors import (
     NonIdentifiableError,
     SolverError,
 )
-from .models import EXP_LINK, IDENTITY_LINK, LOGISTIC_LINK
-from .surrogate import WorkingLink, fit_coefficients
+from .models import EXP_LINK, LOGISTIC_LINK
+from .surrogate import fit_coefficients
 
 PILOT_KINDS = ("ridge", "ls", "logit-mle", "pois-mle")
 
@@ -54,24 +54,19 @@ class PilotFit:
     adjustments: Adjustments
 
 
-def ridge_fit(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """Ridge estimator (X'X + n lam I)^{-1} X'y via an SPD solve.
+def _ridge_solve(x, y, lam, gram=None):
+    """Solve the ridge system (X'X + n lam I) b = X'y, and return
+    tr(I - X A^{-1} X') / n from the same factorization.
 
-    Uses the n-by-n dual system when p > n.
+    Uses the n-by-n dual system when p > n; gram, a Gram of x, supplies
+    the Gram matrix.
     """
-    if lam <= 0:
-        raise ConfigError("ridge penalty must be positive")
-    return _ridge_solve(x, y, lam)[0]
-
-
-def _ridge_solve(x, y, lam):
-    """Solve the ridge system, and return tr(I - X A^{-1} X') / n from the
-    same factorization."""
     n, p = x.shape
     c = n * lam
     dual = p > n
+    gram = Gram(x) if gram is None else gram
     try:
-        fac = cho_factor(weighted_gram(x, ridge=c, dual=dual), overwrite_a=True)
+        fac = cho_factor(gram.weighted(None, c, dual), overwrite_a=True)
     except LinAlgError as err:
         raise SolverError(f"ridge system could not be factorized: {err}") from err
     beta = x.T @ cho_solve(fac, y) if dual else cho_solve(fac, x.T @ y)
@@ -132,33 +127,28 @@ def glm_mle_fit(x: np.ndarray, y: np.ndarray, family: str) -> np.ndarray:
 
 
 def observable_adjustments(
-    x: np.ndarray,
     y: np.ndarray,
     beta: np.ndarray,
-    link: WorkingLink,
+    z: np.ndarray,
+    fitted: np.ndarray,
     v: float,
     lam: float = 0.0,
-    censor=None,
 ) -> Adjustments:
-    """Observable adjustments of an M-estimator b with working link g, from
-    link.evaluate.
+    """Observable adjustments of an M-estimator b with working link g.
 
-    v = n^{-1} tr(D - DX(X'DX + n lam I)^{-1}X'D), D = diag(g'(z)), comes
-    from the caller; z = X b, clamped by censor.censor when a censor is
-    given:
+    The caller supplies the indices z = X b (clamped to the censoring
+    window when censoring), the fitted values g(z), and
+    v = n^{-1} tr(D - DX(X'DX + n lam I)^{-1}X'D) with D = diag(g'(z)):
       gamma = kappa / (v + lam),
       sigma^2 = kappa ||y - g(z)||^2 / (n (v + lam)^2),
       mu = | ||b||^2 - sigma^2 |^{1/2}                  (lam > 0)
       mu = | ||z||^2 / n - (1 - kappa) sigma^2 |^{1/2}  (lam = 0)
     """
-    n, p = x.shape
+    n, p = len(y), len(beta)
     kappa = p / n
     if v + lam <= 0:
         raise DegenerateError("observable adjustment has v + lambda <= 0")
-    z = x @ beta
-    if censor is not None:
-        z = censor.censor(z)
-    resid = y - link.evaluate(z)[1]
+    resid = y - fitted
     gamma = kappa / (v + lam)
     sigma2 = kappa * float(resid @ resid) / (n * (v + lam) ** 2)
     if lam > 0:
@@ -190,17 +180,18 @@ def pilot_adjustments(
               D = diag(g0'(X b))
     """
     n, p = x.shape
+    z = x @ beta
     if kind == "ridge":
         if lam is None or lam <= 0:
             raise ConfigError("ridge adjustments need a positive lambda")
         v = adjustment_trace(x, np.ones(n), n * lam) / n
-        return observable_adjustments(x, y, beta, IDENTITY_LINK, v, lam)
+        return observable_adjustments(y, beta, z, z, v, lam)
     if kind == "ls":
-        return observable_adjustments(x, y, beta, IDENTITY_LINK, 1.0 - p / n)
+        return observable_adjustments(y, beta, z, z, 1.0 - p / n)
     if kind in MLE_FAMILY:
-        link = GLM_LINKS[MLE_FAMILY[kind]]
-        v = adjustment_trace(x, link.deriv(x @ beta), 0.0) / n
-        return observable_adjustments(x, y, beta, link, v)
+        _, fitted, weights = GLM_LINKS[MLE_FAMILY[kind]].evaluate(z)
+        v = adjustment_trace(x, weights, 0.0) / n
+        return observable_adjustments(y, beta, z, fitted, v)
     raise ConfigError(f"unknown pilot kind {kind!r}; choose from {PILOT_KINDS}")
 
 
@@ -220,18 +211,24 @@ def pilot_score_residual(fit: PilotFit, x: np.ndarray, y: np.ndarray) -> np.ndar
 
 
 def fit_pilot(
-    x: np.ndarray, y: np.ndarray, kind: str = "ridge", lam: Optional[float] = None
+    x: np.ndarray,
+    y: np.ndarray,
+    kind: str = "ridge",
+    lam: Optional[float] = None,
+    gram=None,
 ) -> PilotFit:
     """Fit a pilot of the given kind and attach its adjustments.
 
-    For ridge the solve and the trace share one factorization.
+    For ridge the solve and the trace share one factorization, of the Gram
+    matrix that gram (a Gram of x, built when not given) supplies.
     """
     if kind == "ridge":
         lam = 1.0 if lam is None else lam
         if lam <= 0:
             raise ConfigError("ridge penalty must be positive")
-        beta, v = _ridge_solve(x, y, lam)
-        adj = observable_adjustments(x, y, beta, IDENTITY_LINK, v, lam)
+        beta, v = _ridge_solve(x, y, lam, gram)
+        z = x @ beta
+        adj = observable_adjustments(y, beta, z, z, v, lam)
         return PilotFit(beta=beta, kind=kind, lam=lam, adjustments=adj)
     if kind == "ls":
         beta = least_squares_fit(x, y)

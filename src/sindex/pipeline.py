@@ -12,6 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ._linalg import Gram
 from .debias import IndexEstimate, debias_index
 from .deconv import DeconvConfig, LinkEstimate, estimate_link
 from .errors import ConfigError, PipelineError, SindexError, SplitError
@@ -242,16 +243,24 @@ def run_pipeline(
     n, p = data.n, data.p
     with _stage("split"):
         idx1, idx2 = split_data(n, config.split)
-    x1, y1 = data.x[idx1], data.y[idx1]
-    x2, y2 = data.x[idx2], data.y[idx2]
+    if config.split.no_split:
+        x1 = x2 = data.x
+        y1 = y2 = data.y
+    else:
+        x1, y1 = data.x[idx1], data.y[idx1]
+        x2, y2 = data.x[idx2], data.y[idx2]
+    # One Gram serves every solve on the refit's rows: each Newton step,
+    # the inference trace, and under no_split the ridge pilot as well.
+    gram = Gram(x2)
+    pilot_gram = gram if x1 is x2 else None
     with _stage("pilot"):
-        pilot = fit_pilot(x1, y1, config.pilot_kind, config.pilot_lam)
+        pilot = fit_pilot(x1, y1, config.pilot_kind, config.pilot_lam, pilot_gram)
     with _stage("index"):
         index = debias_index(x1, y1, pilot)
     with _stage("link"):
         link = estimate_link(index, y1, config.deconv)
     with _stage("coef"):
-        coef = fit_coefficients(x2, y2, link, config.penalty_lam)
+        coef = fit_coefficients(x2, y2, link, config.penalty_lam, gram=gram)
     censor = None
     if config.inference_mode == "censored":
         censor = CensoredAdjustment(*config.deconv.window)
@@ -264,6 +273,7 @@ def run_pipeline(
             mode=config.inference_mode,
             lam=config.penalty_lam,
             censor=censor,
+            gram=gram,
         )
         tau = design.tau if design is not None else np.ones(p)
         report = marginal_inference(

@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from ._linalg import weighted_gram
+from ._linalg import Gram, weighted_gram
 from .deconv import LinkEstimate
 from .deconv import eval_link  # noqa: F401  (bench/tracer.py wraps it here)
 from .errors import (
@@ -75,9 +75,9 @@ def _evaluate(x, y, b, link, lam):
     return value, g, gprime
 
 
-def _newton_direction(x, w, ridge, grad):
+def _newton_direction(x, w, ridge, grad, gram=None):
     """Solve (X'WX + ridge I) d = -grad, through the n-by-n Woodbury system
-    when p > n.
+    when p > n; gram, a Gram of x, supplies the weighted Gram matrix.
 
     A singular Hessian (possible when the link derivative vanishes at the
     current iterate, e.g. a cubic link at the zero start) falls back to a
@@ -85,15 +85,16 @@ def _newton_direction(x, w, ridge, grad):
     any positive shift still yields a descent direction for the line search.
     """
     n, p = x.shape
+    gram = Gram(x) if gram is None else gram
     if ridge > 0.0 and p > n:
         try:
-            fac = cho_factor(weighted_gram(x, w, ridge, dual=True), overwrite_a=True)
+            fac = cho_factor(gram.weighted(w, ridge, dual=True), overwrite_a=True)
             s = np.sqrt(w)
             inner = cho_solve(fac, s * (x @ grad))
             return -(grad - x.T @ (s * inner)) / ridge
         except LinAlgError as err:
             raise SolverError(f"Newton system is singular: {err}") from err
-    hess = weighted_gram(x, w, ridge)
+    hess = gram.weighted(w, ridge)
     base = max(np.trace(hess) / p, float(np.linalg.norm(grad)), 1e-8)
     shift = 0.0
     for _ in range(12):
@@ -101,7 +102,7 @@ def _newton_direction(x, w, ridge, grad):
             return -cho_solve(cho_factor(hess, overwrite_a=True), grad)
         except LinAlgError:
             shift = base * 1e-8 if shift == 0.0 else shift * 100.0
-            hess = weighted_gram(x, w, ridge + shift)
+            hess = gram.weighted(w, ridge + shift)
     raise SolverError("Newton system stayed singular under diagonal shifts")
 
 
@@ -111,6 +112,7 @@ def fit_coefficients(
     link: WorkingLink,
     lam: float = 0.0,
     max_iter: int = 100,
+    gram=None,
 ) -> CoefFit:
     """Minimize the surrogate loss sum G(x'b) - y x'b + n lam ||b||^2 / 2
     by damped Newton from zero.
@@ -120,6 +122,9 @@ def fit_coefficients(
     penalty n lam ||b||^2 / 2 matches the convention of the ridge pilot and
     of the inferential adjustment traces (which regularize X'DX by n lam I).
     lam = 0 fits unpenalized and needs n > p.
+
+    gram, a Gram of x, supplies every Newton system; pass the one that
+    other solves on x share.  Without it a private one is built.
 
     Stops when the gradient inf-norm drops below 1e-8; raises a
     diagnostics-carrying error when max_iter iterations run out.
@@ -132,6 +137,7 @@ def fit_coefficients(
             "unpenalized fitting needs n > p; use the ridge penalty instead"
         )
     ridge = lam * n
+    gram = Gram(x) if gram is None else gram
     beta = np.zeros(p)
     objective, g, gprime = _evaluate(x, y, beta, link, lam)
     if not np.isfinite(objective):
@@ -150,7 +156,7 @@ def fit_coefficients(
                 grad_norm=grad_norm,
                 converged=True,
             )
-        direction = _newton_direction(x, gprime, ridge, grad)
+        direction = _newton_direction(x, gprime, ridge, grad, gram)
         # Quadratic-phase acceptance: take the full step when it halves the
         # gradient without raising the objective beyond float resolution (an
         # Armijo test alone stalls below that resolution; the gradient test

@@ -1,14 +1,19 @@
-"""Weighted Gram helpers, the adjustment trace and the Newton direction
-against dense references."""
+"""Weighted Gram helpers, the shared Gram, the adjustment trace and the
+Newton direction against dense references."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import cho_factor
 
-from sindex._linalg import adjustment_trace, cho_inverse, weighted_gram
+from sindex._linalg import Gram, adjustment_trace, cho_inverse, weighted_gram
+from sindex.deconv import DeconvConfig
 from sindex.errors import RankError
-from sindex.surrogate import _newton_direction
+from sindex.experiments import _simulate
+from sindex.inference import adjust_inferential
+from sindex.models import Dataset
+from sindex.pipeline import PipelineConfig, SplitConfig, run_pipeline
+from sindex.surrogate import _newton_direction, fit_coefficients
 
 
 @st.composite
@@ -39,6 +44,18 @@ def well_posed(x, weights, ridge):
     return ridge > 0.0 or np.linalg.cond(dense_hessian(x, weights, 0.0)) < 1e4
 
 
+def used_gram(x, weights, ridge):
+    """A Gram of x that already served other weights on both paths, the
+    last ones off in every third row, so that the next call updates."""
+    gram = Gram(x)
+    others = weights.copy()
+    others[::3] = 1.0 + weights[::3]
+    for dual in (False, True):
+        gram.weighted(np.full(len(weights), 0.5), ridge, dual)
+        gram.weighted(others, ridge, dual)
+    return gram
+
+
 @settings(max_examples=200, deadline=None)
 @given(problems())
 def test_adjustment_trace_matches_dense_inverse(problem):
@@ -52,6 +69,8 @@ def test_adjustment_trace_matches_dense_inverse(problem):
     # rounding, so the tolerance is relative to that scale as well.
     tol = 1e-10 * max(abs(reference), float(np.sum(weights)))
     assert abs(adjustment_trace(x, weights, ridge) - reference) <= tol
+    gram = used_gram(x, weights, ridge)
+    assert abs(adjustment_trace(x, weights, ridge, gram) - reference) <= tol
 
 
 def test_adjustment_trace_singular_raises():
@@ -67,9 +86,10 @@ def test_newton_direction_solves_hessian_system(problem):
     assume(well_posed(x, weights, ridge))
     grad = np.random.default_rng(x.shape[0]).standard_normal(x.shape[1])
     hess = dense_hessian(x, weights, ridge)
-    d = _newton_direction(x, weights, ridge, grad)
-    scale = np.linalg.norm(hess, 2) * np.linalg.norm(d) + np.linalg.norm(grad)
-    assert np.linalg.norm(hess @ d + grad) <= 1e-10 * scale
+    for gram in (None, used_gram(x, weights, ridge)):
+        d = _newton_direction(x, weights, ridge, grad, gram)
+        scale = np.linalg.norm(hess, 2) * np.linalg.norm(d) + np.linalg.norm(grad)
+        assert np.linalg.norm(hess @ d + grad) <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("dual", [False, True])
@@ -84,3 +104,60 @@ def test_weighted_gram_and_cho_inverse(dual):
     assert np.allclose(gram, reference, rtol=1e-13, atol=0.0)
     inv = cho_inverse(cho_factor(gram, overwrite_a=True))
     assert np.allclose(np.triu(inv), np.triu(np.linalg.inv(reference)), rtol=1e-12)
+
+
+@st.composite
+def weight_sequences(draw):
+    """(x, dual, ridge, weight vectors): each vector changes a few rows,
+    most rows, sets rows to zero, makes every weight equal, or repeats."""
+    n = draw(st.integers(2, 16))
+    p = draw(st.integers(1, 16))
+    x = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal((n, p))
+    value = st.floats(0.1, 3.0)
+    weights = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    sequence = []
+    for step in draw(
+        st.lists(st.sampled_from(("few", "most", "zero", "constant", "same")), max_size=8)
+    ):
+        weights = weights.copy()
+        if step == "constant":
+            weights[:] = draw(value)
+        elif step != "same":
+            count = {"few": (0, n // 2), "most": (n // 2 + 1, n), "zero": (1, n)}[step]
+            rows = draw(st.permutations(range(n)))[: draw(st.integers(*count))]
+            for row in rows:
+                weights[row] = 0.0 if step == "zero" else draw(value)
+        sequence.append(weights)
+    return x, draw(st.booleans()), draw(st.sampled_from((0.0, 0.7))), sequence
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_sequences())
+def test_gram_follows_a_sequence_of_weights(case):
+    x, dual, ridge, sequence = case
+    gram = Gram(x)
+    for weights in [None] + sequence:
+        got = gram.weighted(weights, ridge, dual)
+        reference = weighted_gram(x, weights, ridge, dual)
+        assert got.flags.f_contiguous
+        assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
+        got[...] = np.nan  # the caller may factor the matrix in place
+
+
+@pytest.mark.parametrize("n, p", [(80, 160), (300, 20)])
+def test_no_split_refit_on_the_pilots_gram_equals_a_fresh_fit(n, p):
+    # run_pipeline shares one Gram among the ridge pilot, the Newton steps
+    # and the trace; the dual shape shares XX', the primal one updates X'DX.
+    x, y, _, _ = _simulate("cloglog", n, p, "uniform-sphere", np.random.SeedSequence(5))
+    config = PipelineConfig(
+        deconv=DeconvConfig(bandwidth_mode="fixed", h=2.5),
+        split=SplitConfig(no_split=True),
+    )
+    report = run_pipeline(Dataset(x, y), config)
+    fresh = fit_coefficients(x, y, report.link, 0.1)
+    assert report.coef.iterations == fresh.iterations
+    gap = np.max(np.abs(report.coef.beta - fresh.beta)) / np.max(np.abs(fresh.beta))
+    assert gap <= 1e-10
+    mu, sigma2 = adjust_inferential(x, y, fresh.beta, report.link, "ridge", lam=0.1)
+    assert report.inference.mu_hat == pytest.approx(mu, rel=1e-10)
+    assert report.inference.sigma2_hat == pytest.approx(sigma2, rel=1e-10)

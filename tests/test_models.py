@@ -89,6 +89,24 @@ def test_sample_design_identity_is_the_raw_draw():
     assert np.array_equal(x, np.random.default_rng(5).standard_normal((30, 4)))
 
 
+def unit_with(i, j, value):
+    chol = np.eye(3)
+    chol[i, j] = value
+    return chol
+
+
+@pytest.mark.parametrize(
+    "chol",
+    [unit_with(0, 0, 2.0), unit_with(1, 0, 0.5), unit_with(2, 1, -0.1), unit_with(0, 2, 0.3)],
+    ids=["diagonal", "below-first", "below-last", "above"],
+)
+def test_sample_design_multiplies_by_a_non_identity_factor(chol):
+    spec = DesignSpec(p=3, sigma=chol @ chol.T, chol=chol, tau=np.ones(3))
+    x = sample_design(30, spec, seed=5)
+    raw = np.random.default_rng(5).standard_normal((30, 3))
+    assert np.array_equal(x, raw @ chol.T)
+
+
 def test_sample_design_rejects_indefinite_sigma():
     sigma = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
     with pytest.raises(InvalidDesignError):

@@ -15,8 +15,8 @@ from sindex.errors import (
     NonIdentifiableError,
 )
 from sindex.experiments import _simulate
-from sindex.inference import CensoredAdjustment
-from sindex.models import DesignSpec, LinkFunction, generate_responses, model_lookup, sample_coefficients, sample_design
+from sindex.inference import CensoredAdjustment, adjust_inferential, vhat
+from sindex.models import LOGISTIC_LINK, DesignSpec, LinkFunction, generate_responses, model_lookup, sample_coefficients, sample_design
 from sindex.pilot import (
     GLM_LINKS,
     fit_pilot,
@@ -24,7 +24,6 @@ from sindex.pilot import (
     least_squares_fit,
     observable_adjustments,
     pilot_adjustments,
-    ridge_fit,
 )
 from sindex.surrogate import fit_coefficients, surrogate_objective
 
@@ -33,11 +32,11 @@ rng = np.random.default_rng(101)
 
 def test_ridge_zero_response():
     x = rng.standard_normal((15, 4))
-    assert np.allclose(ridge_fit(x, np.zeros(15), 0.5), 0.0)
+    assert np.allclose(fit_pilot(x, np.zeros(15), "ridge", 0.5).beta, 0.0)
 
 
 def test_ridge_scalar_closed_form():
-    beta = ridge_fit(np.array([[1.0]]), np.array([1.0]), 1.0)
+    beta = fit_pilot(np.array([[1.0]]), np.array([1.0]), "ridge", 1.0).beta
     assert beta[0] == pytest.approx(0.5)
 
 
@@ -45,7 +44,7 @@ def test_ridge_matches_normal_equation_oracle():
     x = rng.standard_normal((20, 5))
     y = rng.standard_normal(20)
     lam = 0.7
-    beta = ridge_fit(x, y, lam)
+    beta = fit_pilot(x, y, "ridge", lam).beta
     oracle = np.linalg.solve(x.T @ x + 20 * lam * np.eye(5), x.T @ y)
     assert np.max(np.abs(beta - oracle)) < 1e-10
 
@@ -53,14 +52,14 @@ def test_ridge_matches_normal_equation_oracle():
 def test_ridge_dual_path_matches_primal():
     x = rng.standard_normal((8, 30))
     y = rng.standard_normal(8)
-    beta = ridge_fit(x, y, 0.4)
+    beta = fit_pilot(x, y, "ridge", 0.4).beta
     oracle = np.linalg.solve(x.T @ x + 8 * 0.4 * np.eye(30), x.T @ y)
     assert np.max(np.abs(beta - oracle)) < 1e-10
 
 
 def test_ridge_rejects_nonpositive_lambda():
     with pytest.raises(ConfigError):
-        ridge_fit(np.ones((3, 1)), np.ones(3), 0.0)
+        fit_pilot(np.ones((3, 1)), np.ones(3), "ridge", 0.0)
 
 
 def test_least_squares_orthonormal_columns():
@@ -167,7 +166,7 @@ def test_glm_family_validation():
 def test_ridge_adjustments_hand_trace():
     x = np.array([[1.0]])
     y = np.array([1.0])
-    beta = ridge_fit(x, y, 1.0)
+    beta = fit_pilot(x, y, "ridge", 1.0).beta
     adj = pilot_adjustments(beta, x, y, "ridge", lam=1.0)
     assert adj.v == pytest.approx(0.5)
     assert adj.gamma == pytest.approx(2.0 / 3.0)
@@ -186,10 +185,10 @@ def test_ridge_v_in_unit_interval_and_ridgeless_limit():
     x = rng.standard_normal((60, 12))
     y = rng.standard_normal(60)
     for lam in (1e-10, 0.1, 1.0, 100.0):
-        beta = ridge_fit(x, y, lam)
+        beta = fit_pilot(x, y, "ridge", lam).beta
         adj = pilot_adjustments(beta, x, y, "ridge", lam=lam)
         assert 0.0 < adj.v <= 1.0
-    adj = pilot_adjustments(ridge_fit(x, y, 1e-10), x, y, "ridge", lam=1e-10)
+    adj = pilot_adjustments(fit_pilot(x, y, "ridge", 1e-10).beta, x, y, "ridge", lam=1e-10)
     assert adj.v == pytest.approx(1 - 12 / 60, abs=1e-8)
 
 
@@ -215,7 +214,7 @@ def test_fit_pilot_matches_standalone_ops():
     beta = sample_coefficients(6, "uniform-sphere", spec, seed=28)
     y = generate_responses(x, beta, model_lookup("cubic"), seed=29)
     fit = fit_pilot(x, y, "ridge", 0.3)
-    assert np.allclose(fit.beta, ridge_fit(x, y, 0.3))
+    assert np.allclose(fit.beta, np.linalg.solve(x.T @ x + 80 * 0.3 * np.eye(6), x.T @ y))
     adj = pilot_adjustments(fit.beta, x, y, "ridge", lam=0.3)
     assert fit.adjustments.v == pytest.approx(adj.v, abs=1e-10)
     assert fit.adjustments.sigma2 == pytest.approx(adj.sigma2, abs=1e-12)
@@ -304,7 +303,11 @@ def test_observable_adjustments_match_written_out_formulas(kind, n, kappa, lam, 
             lambda t: 0.5 * np.exp(0.5 * t),
             lambda t: 2.0 * np.exp(0.5 * t),
         )
-        adj = observable_adjustments(x, y, b, link, v, censor=window)
+        adj = observable_adjustments(
+            y, b, z, link.value(z), vhat(x, b, link, censor=window)
+        )
+        refit = adjust_inferential(x, y, b, link, "censored", censor=window)
+        assert refit == (adj.mu, adj.sigma2)
         gamma = kappa / v
         sigma2 = kappa * np.sum((y - np.exp(0.5 * z)) ** 2) / (n * v ** 2)
         terms = (z @ z / n, (1 - kappa) * sigma2)
@@ -314,3 +317,44 @@ def test_observable_adjustments_match_written_out_formulas(kind, n, kappa, lam, 
     assert adj.sigma2 == pytest.approx(sigma2, rel=1e-10)
     # mu^2 is |difference of the two terms|, which may cancel.
     assert abs(adj.mu ** 2 - abs(terms[0] - terms[1])) <= 1e-10 * sum(terms)
+
+
+def counting(link, calls):
+    """link with every call of its value, derivative and antiderivative
+    recorded in calls."""
+
+    def count(name, fn):
+        def counted(t):
+            calls.append(name)
+            return fn(t)
+
+        return counted
+
+    return LinkFunction(
+        link.label,
+        count("g", link.value),
+        count("g'", link.deriv),
+        count("G", link.antideriv),
+    )
+
+
+def test_adjustments_evaluate_the_link_once(monkeypatch):
+    # The MLE pilot's adjustments and the refit's inferential adjustments
+    # each take g' for the trace and g for the formula from one evaluation.
+    x = rng.standard_normal((120, 6))
+    beta = 0.3 * rng.normal(size=6)
+    y = (rng.random(120) < expit(x @ beta)).astype(float)
+    calls = []
+    plain = pilot_adjustments(beta, x, y, "logit-mle")
+    monkeypatch.setitem(GLM_LINKS, "logistic", counting(LOGISTIC_LINK, calls))
+    assert pilot_adjustments(beta, x, y, "logit-mle") == plain
+    assert sorted(calls) == ["G", "g", "g'"]
+    window = CensoredAdjustment(-0.5, 0.5)
+    for mode, lam, censor in (("ridge", 0.2, None), ("censored", 0.0, window)):
+        calls.clear()
+        link = counting(LOGISTIC_LINK, calls)
+        got = adjust_inferential(x, y, beta, link, mode, lam=lam, censor=censor)
+        assert got == adjust_inferential(
+            x, y, beta, LOGISTIC_LINK, mode, lam=lam, censor=censor
+        )
+        assert sorted(calls) == ["G", "g", "g'"]
