@@ -20,6 +20,12 @@ from .errors import RankError
 #: half of the rows costs about as much as the rebuild.
 _UPDATE_SHARE = 0.5
 
+#: The update's rounding scales with the rows it adds and removes, not with
+#: the X'DX it leaves.  So X'DX is rebuilt once the last rebuild and the
+#: updates since weigh, by trace, more than this many times the current
+#: X'DX, as when most of the weight falls to zero.
+_UPDATE_MASS = 4.0
+
 
 def weighted_gram(x, weights=None, ridge=0.0, dual=False):
     """S'S + ridge I = X'DX + ridge I, or SS' + ridge I when dual, with
@@ -49,6 +55,8 @@ class Gram:
         self._xxt = None
         self._xdx = None
         self._weights = None
+        self._norms = None
+        self._mass = 0.0
 
     def weighted(self, weights=None, ridge=0.0, dual=False):
         if dual:
@@ -69,11 +77,18 @@ class Gram:
     def _primal(self, weights):
         """X'DX, from the last one when few weights changed."""
         weights = np.ones(len(self.x)) if weights is None else np.array(weights, dtype=float)
+        if self._norms is None:
+            self._norms = np.einsum("ij,ij->i", self.x, self.x)
         if self._weights is not None:
             delta = weights - self._weights
             changed = np.flatnonzero(delta)
-            if len(changed) <= _UPDATE_SHARE * len(weights) and np.all(
-                np.isfinite(delta[changed])
+            # tr(S+'S+ + S-'S-), summed with the earlier ones; a weight or
+            # row that is not finite makes it inf or nan, and X'DX rebuilt.
+            mass = self._mass + np.abs(delta[changed]) @ self._norms[changed]
+            if (
+                len(changed) <= _UPDATE_SHARE * len(weights)
+                and np.isfinite(mass)
+                and mass <= _UPDATE_MASS * (weights @ self._norms)
             ):
                 # X'D'X = X'DX + S+'S+ - S-'S-, where S+ (S-) is
                 # |w' - w|^{1/2} X over the rows whose weight rose (fell).
@@ -84,9 +99,11 @@ class Gram:
                 if len(fall):
                     self._xdx -= weighted_gram(self.x[fall], -delta[fall])
                 self._weights = weights
+                self._mass = mass
                 return self._xdx
         self._xdx = weighted_gram(self.x, weights)
         self._weights = weights
+        self._mass = weights @ self._norms
         return self._xdx
 
 

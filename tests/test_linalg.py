@@ -144,6 +144,22 @@ def test_gram_follows_a_sequence_of_weights(case):
         got[...] = np.nan  # the caller may factor the matrix in place
 
 
+@pytest.mark.parametrize("fallen", [0.0, 1e-9])
+def test_gram_rebuilds_when_most_weight_falls(fallen):
+    # An update's rounding scales with the X'DX it started from, so once the
+    # weight falls to (nearly) zero a row or two at a time, it must rebuild.
+    for seed in range(20):
+        x = np.random.default_rng(seed).standard_normal((4, 2))
+        gram = Gram(x)
+        weights = np.ones(4)
+        gram.weighted(weights)
+        for rows in ([0], [1], [2, 3]):
+            weights[rows] = fallen
+            got = gram.weighted(weights)
+        reference = weighted_gram(x, weights)
+        assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
 @pytest.mark.parametrize("n, p", [(80, 160), (300, 20)])
 def test_no_split_refit_on_the_pilots_gram_equals_a_fresh_fit(n, p):
     # run_pipeline shares one Gram among the ridge pilot, the Newton steps
