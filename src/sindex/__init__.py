@@ -38,7 +38,6 @@ from .errors import (
     SplitError,
 )
 from .inference import (
-    CensoredAdjustment,
     InferenceReport,
     OracleParams,
     adjust_inferential,
@@ -47,7 +46,6 @@ from .inference import (
     joint_transform,
     marginal_inference,
     oracle_params,
-    vhat,
 )
 from .models import (
     Dataset,

@@ -22,7 +22,7 @@ from .models import (
     sample_coefficients,
     sample_design,
 )
-from .pipeline import PipelineConfig, SplitConfig, run_pipeline
+from .pipeline import PipelineConfig, run_pipeline
 
 
 def ingest_csv(path, response: str) -> Dataset:
@@ -81,36 +81,30 @@ def dataset_to_csv(data: Dataset, path, response: str = "y") -> None:
 
 
 def _load_config(args) -> PipelineConfig:
+    """The config file's document (the defaults without one), with each
+    passed flag overriding the key it names."""
+    doc = {}
     if args.config:
         with open(args.config) as handle:
             doc = json.load(handle)
-        config = PipelineConfig.from_dict(doc)
-    else:
-        config = PipelineConfig.from_dict({})
-    overrides = {}
-    if args.pilot:
-        overrides["pilot"] = {
-            "kind": args.pilot,
-            "lambda": args.pilot_lambda,
-        }
+    flags = (
+        ("pilot", "kind", args.pilot),
+        ("pilot", "lambda", args.pilot_lambda),
+        ("penalty", "kind", args.penalty),
+        ("penalty", "lambda", args.penalty_lambda),
+        ("inference", "alpha", args.alpha),
+        ("split", "no_split", args.no_split or None),
+        ("split", "seed", args.seed),
+    )
+    for section, key, value in flags:
+        if value is not None:
+            doc.setdefault(section, {})[key] = value
     if args.penalty:
-        overrides["penalty"] = {"kind": args.penalty, "lambda": args.penalty_lambda}
-        overrides["inference"] = {
-            "mode": "ridge" if args.penalty == "ridge" else "unregularized",
-            "alpha": args.alpha,
-        }
-    if args.no_split or args.seed is not None:
-        overrides["split"] = {
-            "no_split": args.no_split,
-            "seed": args.seed if args.seed is not None else 0,
-        }
-    if overrides:
-        doc = config.to_dict()
-        for key, value in overrides.items():
-            doc.setdefault(key, {}).update(value)
-        doc["inference"]["alpha"] = args.alpha
-        config = PipelineConfig.from_dict(doc)
-    return config
+        # The inference mode follows the penalty; a censored mode stays.
+        inference = doc.setdefault("inference", {})
+        if args.penalty == "ridge" or inference.get("mode", "ridge") == "ridge":
+            inference["mode"] = "ridge" if args.penalty == "ridge" else "unregularized"
+    return PipelineConfig.from_dict(doc)
 
 
 def _cmd_simulate(args) -> int:
@@ -221,10 +215,10 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--response", default="y")
         cmd.add_argument("--config", help="pipeline config JSON")
         cmd.add_argument("--pilot", choices=("ridge", "ls", "logit-mle", "pois-mle"))
-        cmd.add_argument("--lambda", dest="pilot_lambda", type=float, default=1.0)
+        cmd.add_argument("--lambda", dest="pilot_lambda", type=float)
         cmd.add_argument("--penalty", choices=("none", "ridge"))
-        cmd.add_argument("--penalty-lambda", type=float, default=0.1)
-        cmd.add_argument("--alpha", type=float, default=0.05)
+        cmd.add_argument("--penalty-lambda", type=float)
+        cmd.add_argument("--alpha", type=float)
         cmd.add_argument("--no-split", action="store_true")
         cmd.add_argument("--seed", type=int)
         cmd.add_argument("--out", default="sindex-out")

@@ -71,31 +71,33 @@ def _flattop_fourier(t):
     return np.where(t <= 1.0, v * v * v * (u * (6.0 * u + 3.0) + 1.0), 0.0)
 
 
+#: Bound M0 of every kernel's Fourier support [-M0, M0], the M0 of the
+#: bandwidth constraint 2 M0^2 varsigma^2 c_h < 1.
+M0 = 1.0
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel given through its compactly supported Fourier transform on
-    [-m0, m0]; `breaks` lists the points of (0, m0) where that transform is
+    [-M0, M0]; `breaks` lists the points of (0, M0) where that transform is
     not smooth, which the quadrature uses as panel ends."""
 
     fourier: Callable[[np.ndarray], np.ndarray]
-    m0: float
     label: str
     breaks: Tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.m0 <= 0:
-            raise ConfigError("kernel Fourier support bound must be positive")
-        edges = (0.0, *self.breaks, self.m0)
+        edges = (0.0, *self.breaks, M0)
         if any(a >= b for a, b in zip(edges[:-1], edges[1:])):
-            raise ConfigError("kernel breaks must increase strictly inside (0, m0)")
+            raise ConfigError("kernel breaks must increase strictly inside (0, M0)")
 
 
 #: Triweight window (1 - t^2)^3 on [-1, 1] applied in the frequency domain;
 #: a second-order kernel with compact Fourier support.  Default.
-TRIWEIGHT_KERNEL = KernelSpec(_triweight_fourier, m0=1.0, label="triweight")
+TRIWEIGHT_KERNEL = KernelSpec(_triweight_fourier, label="triweight")
 
 #: Flat-top window; an infinite-order kernel.
-FLATTOP_KERNEL = KernelSpec(_flattop_fourier, m0=1.0, label="flattop", breaks=(0.5,))
+FLATTOP_KERNEL = KernelSpec(_flattop_fourier, label="flattop", breaks=(0.5,))
 
 KERNELS = {"triweight": TRIWEIGHT_KERNEL, "flattop": FLATTOP_KERNEL}
 
@@ -235,11 +237,11 @@ def _kernel_coefficients(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Nodes t_k and coefficients psi_k with K(u) = sum_k psi_k cos(t_k u),
     accurate for |u| <= omega: composite Gauss-Legendre on the panels of
-    [0, m0] between the kernel's breaks."""
+    [0, M0] between the kernel's breaks."""
     if h <= 0:
         raise ConfigError("bandwidth must be positive")
-    c = (spec.m0 * varsigma / h) ** 2 / 2.0
-    edges = (0.0, *spec.breaks, spec.m0)
+    c = (M0 * varsigma / h) ** 2 / 2.0
+    edges = (0.0, *spec.breaks, M0)
     t, w = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         x, wx = _gauss_legendre(_panel_nodes(b - a, omega, c))
@@ -269,7 +271,6 @@ def deconv_kernel_eval(
 def select_bandwidth(
     n: int,
     varsigma: float,
-    spec: KernelSpec = TRIWEIGHT_KERNEL,
     mode: str = "theory",
     h: Optional[float] = None,
     c_h: Optional[float] = None,
@@ -291,15 +292,15 @@ def select_bandwidth(
         raise ConfigError("theory bandwidth needs n >= 2")
     if c_h is None:
         if varsigma > 0:
-            c_h = 0.45 / (spec.m0 * varsigma) ** 2
+            c_h = 0.45 / (M0 * varsigma) ** 2
         else:
             c_h = 1.0
     if c_h <= 0:
         raise ConfigError("bandwidth constant c_h must be positive")
-    if 2.0 * spec.m0 ** 2 * varsigma ** 2 * c_h >= 1.0:
+    if 2.0 * M0 ** 2 * varsigma ** 2 * c_h >= 1.0:
         raise BandwidthConstraintError(
             f"2 M0^2 varsigma^2 c_h = "
-            f"{2.0 * spec.m0 ** 2 * varsigma ** 2 * c_h:.4f} >= 1"
+            f"{2.0 * M0 ** 2 * varsigma ** 2 * c_h:.4f} >= 1"
         )
     return float(1.0 / np.sqrt(c_h * np.log(n)))
 
@@ -366,7 +367,6 @@ def estimate_link(
     h = select_bandwidth(
         len(index.w),
         float(np.sqrt(index.varsigma2)),
-        config.kernel,
         config.bandwidth_mode,
         config.h,
         config.c_h,

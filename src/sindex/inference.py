@@ -1,9 +1,11 @@
 """Inferential-parameter estimation, t-statistics, intervals, and oracles.
 
-Three estimation modes mirror the penalty used for the coefficient fit:
-"ridge" (positive lambda), "unregularized" (no penalty), and "censored"
-(no penalty, fitted indices clamped to a working window before entering
-the adjustment formulas).
+The refit's inferential parameters (mu, sigma^2) are the observable
+adjustments that also calibrate the pilot (pilot.observable_adjustments),
+taken at the refit's ridge level lam and, for a heavy-tailed index, a
+working window (lo, hi).  lam > 0 selects the ridge formulas, lam = 0 the
+unregularized ones, and a window the censored ones: the unregularized
+formulas with the fitted indices clamped to the window.
 """
 
 import csv
@@ -18,24 +20,6 @@ from ._linalg import adjustment_trace
 from .errors import ConfigError, DegenerateError, InvalidDesignError
 from .pilot import observable_adjustments
 from .surrogate import WorkingLink
-
-INFERENCE_MODES = ("ridge", "unregularized", "censored")
-
-
-@dataclass(frozen=True)
-class CensoredAdjustment:
-    """Censoring window [lo, hi] and its clamp map."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ConfigError("censoring window needs lo < hi")
-
-    def censor(self, z: np.ndarray) -> np.ndarray:
-        return np.clip(z, self.lo, self.hi)
-
 
 @dataclass(frozen=True)
 class OracleParams:
@@ -94,60 +78,36 @@ class InferenceReport:
                 )
 
 
-def vhat(
-    x: np.ndarray,
-    beta_hat: np.ndarray,
-    link: WorkingLink,
-    lam: float = 0.0,
-    censor: Optional[CensoredAdjustment] = None,
-) -> float:
-    """n^{-1} tr(D - D X (X'DX + n lam I)^{-1} X'D), D = diag(g'(X beta)),
-    with g' from link.evaluate.
-
-    The censored variant evaluates g' at the clamped fitted indices.
-    """
-    if lam < 0:
-        raise ConfigError("lambda must be nonnegative")
-    n = x.shape[0]
-    z = x @ beta_hat
-    if censor is not None:
-        z = censor.censor(z)
-    weights = np.asarray(link.evaluate(z)[2], dtype=float)
-    return adjustment_trace(x, weights, n * lam) / n
-
-
 def adjust_inferential(
     x: np.ndarray,
     y: np.ndarray,
     beta_hat: np.ndarray,
     link: WorkingLink,
-    mode: str = "unregularized",
     lam: float = 0.0,
-    censor: Optional[CensoredAdjustment] = None,
+    window: Optional[Tuple[float, float]] = None,
     gram=None,
 ) -> Tuple[float, float]:
     """Estimate the inferential bias mu and variance sigma^2 of beta_hat.
 
     They are the observable adjustments (pilot.observable_adjustments) of
-    the fit with working link `link` and v = vhat, from one evaluation of
-    the link.  The ridge mode uses lam and ||b||^2; the unregularized mode
-    uses lam = 0 and ||Xb||^2/n; the censored mode is the unregularized one
-    with the fitted indices clamped inside every norm and weight.  gram, a
-    Gram of x, supplies the trace's Gram matrix; pass the refit's.
+    the fit with working link `link` at ridge level lam, with
+    v = n^{-1} tr(D - DX(X'DX + n lam I)^{-1}X'D), D = diag(g'(z)), from
+    one evaluation of the link at the indices z = X beta_hat.  lam > 0
+    uses lam and ||b||^2; lam = 0 uses ||z||^2/n.  A window (lo, hi), which
+    needs lam = 0, clamps z to [lo, hi] inside every norm and weight.
+    gram, a Gram of x, supplies the trace's Gram matrix; pass the refit's.
     """
-    if mode not in INFERENCE_MODES:
-        raise ConfigError(
-            f"unknown inference mode {mode!r}; choose from {INFERENCE_MODES}"
-        )
-    if mode == "ridge" and lam <= 0:
-        raise ConfigError("ridge mode needs lambda > 0")
-    if mode == "censored" and censor is None:
-        raise ConfigError("censored mode needs a censoring window")
-    lam = lam if mode == "ridge" else 0.0
+    if lam < 0:
+        raise ConfigError("lambda must be nonnegative")
     n = x.shape[0]
     z = x @ beta_hat
-    if mode == "censored":
-        z = censor.censor(z)
+    if window is not None:
+        lo, hi = window
+        if not lo < hi:
+            raise ConfigError("censoring window needs lo < hi")
+        if lam > 0:
+            raise ConfigError("a censoring window needs lambda = 0")
+        z = np.clip(z, lo, hi)
     _, fitted, weights = link.evaluate(z)
     v = adjustment_trace(x, np.asarray(weights, dtype=float), n * lam, gram) / n
     adj = observable_adjustments(y, beta_hat, z, fitted, v, lam)

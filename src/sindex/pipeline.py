@@ -16,12 +16,7 @@ from ._linalg import Gram
 from .debias import IndexEstimate, debias_index
 from .deconv import DeconvConfig, LinkEstimate, estimate_link
 from .errors import ConfigError, PipelineError, SindexError, SplitError
-from .inference import (
-    CensoredAdjustment,
-    InferenceReport,
-    adjust_inferential,
-    marginal_inference,
-)
+from .inference import InferenceReport, adjust_inferential, marginal_inference
 from .models import Dataset, DesignSpec
 from .pilot import PilotFit, fit_pilot
 from .surrogate import CoefFit, fit_coefficients
@@ -261,19 +256,10 @@ def run_pipeline(
         link = estimate_link(index, y1, config.deconv)
     with _stage("coef"):
         coef = fit_coefficients(x2, y2, link, config.penalty_lam, gram=gram)
-    censor = None
-    if config.inference_mode == "censored":
-        censor = CensoredAdjustment(*config.deconv.window)
+    window = config.deconv.window if config.inference_mode == "censored" else None
     with _stage("inference"):
         mu_hat, sigma2_hat = adjust_inferential(
-            x2,
-            y2,
-            coef.beta,
-            link,
-            mode=config.inference_mode,
-            lam=config.penalty_lam,
-            censor=censor,
-            gram=gram,
+            x2, y2, coef.beta, link, config.penalty_lam, window, gram
         )
         tau = design.tau if design is not None else np.ones(p)
         report = marginal_inference(

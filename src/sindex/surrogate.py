@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from ._linalg import Gram, weighted_gram
+from ._linalg import Gram
 from .deconv import LinkEstimate
 from .deconv import eval_link  # noqa: F401  (bench/tracer.py wraps it here)
 from .errors import (
@@ -51,16 +51,12 @@ class CoefFit:
 def surrogate_objective(
     b: np.ndarray, x: np.ndarray, y: np.ndarray, link: WorkingLink, lam: float = 0.0
 ):
-    """Objective value, gradient, and Hessian of the penalized surrogate loss."""
+    """Objective value, gradient and link derivative g'(x'b) of the
+    penalized surrogate loss, from one evaluation of the working link; the
+    Hessian is X' diag(g') X + n lam I.  The value is inf or nan on
+    overflow."""
     value, g, gprime = _evaluate(x, y, b, link, lam)
-    if not np.isfinite(value):
-        raise ObjectiveOverflowError("surrogate objective is non-finite")
-    ridge = lam * x.shape[0]
-    grad = x.T @ (g - y) + ridge * b
-    hess = weighted_gram(x, gprime, ridge)
-    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
-        raise ObjectiveOverflowError("surrogate gradient or Hessian is non-finite")
-    return value, grad, hess
+    return value, _gradient(x, y, b, g, lam), gprime
 
 
 def _evaluate(x, y, b, link, lam):
@@ -73,6 +69,11 @@ def _evaluate(x, y, b, link, lam):
     if lam > 0:
         value += 0.5 * lam * len(t) * float(b @ b)
     return value, g, gprime
+
+
+def _gradient(x, y, b, g, lam):
+    """Gradient of the objective at b, given the link values g there."""
+    return x.T @ (g - y) + lam * x.shape[0] * b
 
 
 def _newton_direction(x, w, ridge, grad, gram=None):
@@ -139,10 +140,9 @@ def fit_coefficients(
     ridge = lam * n
     gram = Gram(x) if gram is None else gram
     beta = np.zeros(p)
-    objective, g, gprime = _evaluate(x, y, beta, link, lam)
+    objective, grad, gprime = surrogate_objective(beta, x, y, link, lam)
     if not np.isfinite(objective):
         raise ObjectiveOverflowError("surrogate objective is non-finite")
-    grad = x.T @ (g - y) + ridge * beta
     grad_norm = np.inf
     for it in range(1, max_iter + 1):
         if not np.all(np.isfinite(grad)):
@@ -161,9 +161,9 @@ def fit_coefficients(
         # gradient without raising the objective beyond float resolution (an
         # Armijo test alone stalls below that resolution; the gradient test
         # alone cycles on a piecewise-linear link), else backtrack from it.
+        # Halving trials take no gradient; the accepted one takes it after.
         candidate = beta + direction
-        value, g, gprime = _evaluate(x, y, candidate, link, lam)
-        cand_grad = x.T @ (g - y) + ridge * candidate
+        value, cand_grad, gprime = surrogate_objective(candidate, x, y, link, lam)
         if not (
             np.isfinite(value)
             and value <= objective + 1e-12 * max(1.0, abs(objective))
@@ -184,7 +184,8 @@ def fit_coefficients(
                 halvings += 1
                 candidate = beta + step * direction
                 value, g, gprime = _evaluate(x, y, candidate, link, lam)
-            cand_grad = x.T @ (g - y) + ridge * candidate
+            if halvings:
+                cand_grad = _gradient(x, y, candidate, g, lam)
         beta, objective, grad = candidate, value, cand_grad
     raise NonConvergenceError(
         f"Newton did not converge in {max_iter} iterations "

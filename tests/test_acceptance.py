@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from scipy.special import expit
 
 import sindex as sx
+from sindex._linalg import adjustment_trace
 from sindex.debias import IndexEstimate
 from sindex.deconv import DeconvConfig, default_grid
 from sindex.models import (
@@ -133,8 +134,8 @@ def test_criterion_5_oracle_equivalences():
     gap_irls = float(np.max(np.abs(fit_l.beta - b)))
     details.append(f"logistic-vs-IRLS {gap_irls:.1e}")
 
-    # vhat with unit weights = 1 - kappa
-    gap_v = abs(sx.vhat(x, np.zeros(10), IDENTITY_LINK, lam=0.0) - (1 - 10 / 80))
+    # the adjustment trace v with unit weights = 1 - kappa
+    gap_v = abs(adjustment_trace(x, np.ones(80), 0.0) / 80 - (1 - 10 / 80))
     details.append(f"vhat-unit {gap_v:.1e}")
 
     # deconvolution at sigma = 0 = plain Nadaraya-Watson (quadrature kernel)
@@ -160,16 +161,9 @@ def test_criterion_5_oracle_equivalences():
     beta = 0.3 * rng.normal(size=10)
     y_lin = x @ beta + rng.standard_normal(80)
     z = x @ beta
-    window = sx.CensoredAdjustment(z.min() - 1, z.max() + 1)
-    plain = sx.adjust_inferential(x, y_lin, beta, IDENTITY_LINK, "unregularized")
-    censored = sx.adjust_inferential(
-        x,
-        y_lin,
-        beta,
-        IDENTITY_LINK,
-        "censored",
-        censor=window,
-    )
+    window = (z.min() - 1, z.max() + 1)
+    plain = sx.adjust_inferential(x, y_lin, beta, IDENTITY_LINK)
+    censored = sx.adjust_inferential(x, y_lin, beta, IDENTITY_LINK, window=window)
     exact = plain == censored
     details.append(f"censored-exact {exact}")
 

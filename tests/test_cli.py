@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sindex.cli import dataset_to_csv, ingest_csv, main
+from sindex.cli import _build_parser, _load_config, dataset_to_csv, ingest_csv, main
 from sindex.errors import DataError
 from sindex.experiments import ExperimentSpec, _simulate, figure2, run_experiment
 from sindex.inference import effective_variance_oracle
@@ -159,6 +159,36 @@ def test_cli_numerical_error_exit_code(tmp_path):
         ]
     )
     assert rc == 3
+
+
+def _infer_config(*flags):
+    args = _build_parser().parse_args(["infer", "--data", "d.csv", *flags])
+    return _load_config(args)
+
+
+def test_cli_flags_override_only_the_keys_they_name(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    doc = {
+        "pilot": {"kind": "ridge", "lambda": 0.5},
+        "inference": {"mode": "ridge", "alpha": 0.1},
+        "split": {"no_split": True, "seed": 7},
+    }
+    cfg.write_text(json.dumps(doc))
+    assert _infer_config("--config", str(cfg), "--alpha", "0.01").alpha == 0.01
+    config = _infer_config("--config", str(cfg), "--seed", "3")
+    assert config.split == SplitConfig(no_split=True, seed=3)
+    assert config.alpha == 0.1
+    config = _infer_config("--config", str(cfg), "--pilot", "ridge")
+    assert (config.pilot_lam, config.alpha, config.split.seed) == (0.5, 0.1, 7)
+    # Flags alone change the defaults only where they are passed.
+    config = _infer_config("--pilot", "ls", "--penalty", "none", "--no-split")
+    expected = PipelineConfig(
+        pilot_kind="ls",
+        penalty="none",
+        inference_mode="unregularized",
+        split=SplitConfig(no_split=True),
+    )
+    assert config.to_dict() == expected.to_dict()
 
 
 def test_experiment_outputs_deterministic(tmp_path):

@@ -11,7 +11,7 @@ from sindex.debias import IndexEstimate
 from sindex.deconv import (
     DeconvConfig,
     KERNELS,
-    TRIWEIGHT_KERNEL,
+    M0,
     _kernel_coefficients,
     deconv_kernel_eval,
     default_grid,
@@ -104,7 +104,7 @@ def test_flattop_grid_closer_to_reference_than_single_256_panel():
     y = (gen.random(n) < 1.0 / (1.0 + np.exp(-w))).astype(float)
     spec = KERNELS["flattop"]
     varsigma = np.sqrt(varsigma2)
-    h = select_bandwidth(n, varsigma, spec)
+    h = select_bandwidth(n, varsigma)
     c = (varsigma / h) ** 2 / 2.0
     cfg = DeconvConfig(grid=default_grid(-3.0, 3.0, 31), kernel=spec)
     raw, valid = nw_deconv_grid(IndexEstimate(w=w, varsigma2=varsigma2), y, h, cfg)
@@ -145,8 +145,8 @@ def test_bandwidth_constraint_violation():
 
 def test_bandwidth_default_constant_margin():
     varsigma = 0.8
-    c_h = 0.45 / (TRIWEIGHT_KERNEL.m0 * varsigma) ** 2
-    assert 2 * TRIWEIGHT_KERNEL.m0 ** 2 * varsigma ** 2 * c_h == pytest.approx(0.9)
+    c_h = 0.45 / (M0 * varsigma) ** 2
+    assert 2 * M0 ** 2 * varsigma ** 2 * c_h == pytest.approx(0.9)
     select_bandwidth(100, varsigma, mode="theory")  # must not raise
 
 

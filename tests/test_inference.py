@@ -2,61 +2,55 @@
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
+from sindex._linalg import adjustment_trace
 from sindex.errors import ConfigError, DegenerateError, RankError
 from sindex.inference import (
-    CensoredAdjustment,
     adjust_inferential,
     effective_variance_estimated,
     effective_variance_oracle,
     joint_transform,
     marginal_inference,
     oracle_params,
-    vhat,
 )
-from sindex.models import IDENTITY_LINK, LinkFunction
-from sindex.pilot import least_squares_fit, pilot_adjustments
+from sindex.models import EXP_LINK, IDENTITY_LINK, LOGISTIC_LINK
+from sindex.pilot import fit_pilot
 
 rng = np.random.default_rng(606)
 
 
 def test_vhat_unit_weights_projection_trace():
     x = rng.standard_normal((50, 10))
-    v = vhat(x, np.zeros(10), IDENTITY_LINK, lam=0.0)
+    v = adjustment_trace(x, np.ones(50), 0.0) / 50
     assert v == pytest.approx(1 - 0.2, abs=1e-10)
 
 
 def test_vhat_two_by_one_hand_trace():
     x = np.array([[1.0], [1.0]])
-    assert vhat(x, np.zeros(1), IDENTITY_LINK, lam=0.0) == pytest.approx(0.5)
+    assert adjustment_trace(x, np.ones(2), 0.0) / 2 == pytest.approx(0.5)
 
 
 def test_vhat_large_lambda_limit():
+    # n^{-1} tr(D - DX(X'DX + n lam I)^{-1}X'D) -> mean g'(X beta) as lam grows.
     x = rng.standard_normal((30, 6))
     beta = rng.normal(size=6)
-
-    def gprime(t):
-        return np.exp(0.2 * t)
-
-    link = LinkFunction(
-        "exp(t/5)", lambda t: 5 * gprime(t), gprime, lambda t: 25 * gprime(t)
-    )
-    v = vhat(x, beta, link, lam=1e9)
-    direct = np.mean(gprime(x @ beta))
-    assert v == pytest.approx(direct, rel=1e-4)
+    gprime = np.exp(0.2 * (x @ beta))
+    v = adjustment_trace(x, gprime, 30 * 1e9) / 30
+    assert v == pytest.approx(np.mean(gprime), rel=1e-4)
 
 
 def test_vhat_rank_error_at_lambda_zero():
     x = rng.standard_normal((4, 6))
     with pytest.raises(RankError):
-        vhat(x, np.zeros(6), IDENTITY_LINK, lam=0.0)
+        adjust_inferential(x, np.ones(4), np.zeros(6), IDENTITY_LINK)
 
 
 def test_adjust_exact_fit():
     x = rng.standard_normal((40, 5))
     beta = rng.normal(size=5)
     y = x @ beta  # identity link, zero residual
-    mu, s2 = adjust_inferential(x, y, beta, IDENTITY_LINK, "ridge", lam=0.5)
+    mu, s2 = adjust_inferential(x, y, beta, IDENTITY_LINK, 0.5)
     assert s2 == 0.0
     assert mu == pytest.approx(np.linalg.norm(beta))
 
@@ -66,30 +60,43 @@ def test_censored_equals_uncensored_with_covering_window():
     beta = 0.3 * rng.normal(size=8)
     y = x @ beta + rng.standard_normal(60)
     z = x @ beta
-    window = CensoredAdjustment(z.min() - 1.0, z.max() + 1.0)
-    plain = adjust_inferential(x, y, beta, IDENTITY_LINK, "unregularized")
-    censored = adjust_inferential(x, y, beta, IDENTITY_LINK, "censored", censor=window)
+    window = (z.min() - 1.0, z.max() + 1.0)
+    plain = adjust_inferential(x, y, beta, IDENTITY_LINK)
+    censored = adjust_inferential(x, y, beta, IDENTITY_LINK, window=window)
     assert plain == censored
 
 
 def test_censored_window_validation():
-    with pytest.raises(ConfigError):
-        CensoredAdjustment(1.0, 1.0)
     x = rng.standard_normal((10, 2))
+    args = (x, np.ones(10), np.zeros(2), IDENTITY_LINK)
     with pytest.raises(ConfigError):
-        adjust_inferential(x, np.ones(10), np.zeros(2), IDENTITY_LINK, "censored")
+        adjust_inferential(*args, window=(1.0, 1.0))
+    with pytest.raises(ConfigError):
+        adjust_inferential(*args, 0.1, window=(-1.0, 1.0))
+    with pytest.raises(ConfigError):
+        adjust_inferential(*args, -0.1)
 
 
 def test_unregularized_identity_reproduces_ls_pilot_adjustments():
-    # With the identity link the inferential estimators collapse to the
-    # least-squares pilot formulas.
+    # Every pilot's adjustments are adjust_inferential's at its fitted beta,
+    # with the pilot's canonical link and ridge level: exactly for the MLE
+    # pilots, which take v from the same trace; to rounding for the ridge
+    # pilot (v from its solve's factor) and ls (v = 1 - kappa).
     x = rng.standard_normal((80, 16))
     y = x @ rng.normal(size=16) + rng.standard_normal(80)
-    beta = least_squares_fit(x, y)
-    adj = pilot_adjustments(beta, x, y, "ls")
-    mu, s2 = adjust_inferential(x, y, beta, IDENTITY_LINK, "unregularized")
-    assert mu == pytest.approx(adj.mu, abs=1e-10)
-    assert s2 == pytest.approx(adj.sigma2, abs=1e-10)
+    gen = np.random.default_rng(607)
+    t = x @ (0.3 * gen.normal(size=16))
+    cases = [
+        ("ls", None, y, IDENTITY_LINK, 1e-10),
+        ("ridge", 0.5, y, IDENTITY_LINK, 1e-10),
+        ("logit-mle", None, (gen.random(80) < expit(t)).astype(float), LOGISTIC_LINK, 0),
+        ("pois-mle", None, gen.poisson(np.exp(t)).astype(float), EXP_LINK, 0),
+    ]
+    for kind, lam, yk, link, tol in cases:
+        fit = fit_pilot(x, yk, kind, lam)
+        mu, s2 = adjust_inferential(x, yk, fit.beta, link, lam or 0.0)
+        assert abs(mu - fit.adjustments.mu) <= tol, kind
+        assert abs(s2 - fit.adjustments.sigma2) <= tol, kind
 
 
 def test_marginal_inference_null_and_centering():

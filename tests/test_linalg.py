@@ -174,6 +174,6 @@ def test_no_split_refit_on_the_pilots_gram_equals_a_fresh_fit(n, p):
     assert report.coef.iterations == fresh.iterations
     gap = np.max(np.abs(report.coef.beta - fresh.beta)) / np.max(np.abs(fresh.beta))
     assert gap <= 1e-10
-    mu, sigma2 = adjust_inferential(x, y, fresh.beta, report.link, "ridge", lam=0.1)
+    mu, sigma2 = adjust_inferential(x, y, fresh.beta, report.link, 0.1)
     assert report.inference.mu_hat == pytest.approx(mu, rel=1e-10)
     assert report.inference.sigma2_hat == pytest.approx(sigma2, rel=1e-10)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
+from sindex._linalg import adjustment_trace
 from sindex.debias import debias_index
 from sindex.deconv import DeconvConfig, estimate_link
 from sindex.errors import (
@@ -15,7 +16,7 @@ from sindex.errors import (
     NonIdentifiableError,
 )
 from sindex.experiments import _simulate
-from sindex.inference import CensoredAdjustment, adjust_inferential, vhat
+from sindex.inference import adjust_inferential
 from sindex.models import LOGISTIC_LINK, DesignSpec, LinkFunction, generate_responses, model_lookup, sample_coefficients, sample_design
 from sindex.pilot import (
     GLM_LINKS,
@@ -294,7 +295,6 @@ def test_observable_adjustments_match_written_out_formulas(kind, n, kappa, lam, 
         terms = (xb @ xb / n, (1 - kappa) * sigma2)
     else:
         y = np.exp(0.5 * xb) + gen.standard_normal(n)
-        window = CensoredAdjustment(-0.5, 0.5)
         z = np.clip(xb, -0.5, 0.5)
         v = dense_v(x, 0.5 * np.exp(0.5 * z), 0.0)
         link = LinkFunction(
@@ -304,9 +304,9 @@ def test_observable_adjustments_match_written_out_formulas(kind, n, kappa, lam, 
             lambda t: 2.0 * np.exp(0.5 * t),
         )
         adj = observable_adjustments(
-            y, b, z, link.value(z), vhat(x, b, link, censor=window)
+            y, b, z, link.value(z), adjustment_trace(x, link.deriv(z), 0.0) / n
         )
-        refit = adjust_inferential(x, y, b, link, "censored", censor=window)
+        refit = adjust_inferential(x, y, b, link, window=(-0.5, 0.5))
         assert refit == (adj.mu, adj.sigma2)
         gamma = kappa / v
         sigma2 = kappa * np.sum((y - np.exp(0.5 * z)) ** 2) / (n * v ** 2)
@@ -349,12 +349,9 @@ def test_adjustments_evaluate_the_link_once(monkeypatch):
     monkeypatch.setitem(GLM_LINKS, "logistic", counting(LOGISTIC_LINK, calls))
     assert pilot_adjustments(beta, x, y, "logit-mle") == plain
     assert sorted(calls) == ["G", "g", "g'"]
-    window = CensoredAdjustment(-0.5, 0.5)
-    for mode, lam, censor in (("ridge", 0.2, None), ("censored", 0.0, window)):
+    for lam, window in ((0.2, None), (0.0, (-0.5, 0.5))):
         calls.clear()
         link = counting(LOGISTIC_LINK, calls)
-        got = adjust_inferential(x, y, beta, link, mode, lam=lam, censor=censor)
-        assert got == adjust_inferential(
-            x, y, beta, LOGISTIC_LINK, mode, lam=lam, censor=censor
-        )
+        got = adjust_inferential(x, y, beta, link, lam, window)
+        assert got == adjust_inferential(x, y, beta, LOGISTIC_LINK, lam, window)
         assert sorted(calls) == ["G", "g", "g'"]
