@@ -22,7 +22,7 @@ from .models import (
     sample_coefficients,
     sample_design,
 )
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, config_section, run_pipeline
 
 
 def ingest_csv(path, response: str) -> Dataset:
@@ -80,13 +80,25 @@ def dataset_to_csv(data: Dataset, path, response: str = "y") -> None:
             writer.writerow([repr(v) for v in row] + [repr(y)])
 
 
+def _read_config(path) -> dict:
+    """The JSON object in the file at path; a ConfigError when the file
+    cannot be read or holds anything else."""
+    try:
+        with open(path) as handle:
+            doc = json.load(handle)
+    except OSError as err:
+        raise ConfigError(f"cannot read config {path}: {err.strerror}") from None
+    except ValueError as err:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigError(f"config {path} is not valid JSON: {err}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return doc
+
+
 def _load_config(args) -> PipelineConfig:
     """The config file's document (the defaults without one), with each
     passed flag overriding the key it names."""
-    doc = {}
-    if args.config:
-        with open(args.config) as handle:
-            doc = json.load(handle)
+    doc = _read_config(args.config) if args.config else {}
     flags = (
         ("pilot", "kind", args.pilot),
         ("pilot", "lambda", args.pilot_lambda),
@@ -98,12 +110,13 @@ def _load_config(args) -> PipelineConfig:
     )
     for section, key, value in flags:
         if value is not None:
-            doc.setdefault(section, {})[key] = value
+            doc[section] = {**config_section(doc, section), key: value}
     if args.penalty:
         # The inference mode follows the penalty; a censored mode stays.
-        inference = doc.setdefault("inference", {})
+        inference = config_section(doc, "inference")
         if args.penalty == "ridge" or inference.get("mode", "ridge") == "ridge":
-            inference["mode"] = "ridge" if args.penalty == "ridge" else "unregularized"
+            mode = "ridge" if args.penalty == "ridge" else "unregularized"
+            doc["inference"] = {**inference, "mode": mode}
     return PipelineConfig.from_dict(doc)
 
 
@@ -172,10 +185,7 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    custom_config = None
-    if args.config:
-        with open(args.config) as handle:
-            custom_config = json.load(handle)
+    custom_config = _read_config(args.config) if args.config else None
     spec = ExperimentSpec(
         name=args.name,
         out_dir=args.out,

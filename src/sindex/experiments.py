@@ -8,10 +8,14 @@ Four named experiments at desk scale:
   table1   effective-variance comparison of pilots against the refit
 
 Every replication derives its seeds from one SeedSequence counter, so
-results are reproducible and independent of worker scheduling.
+results are reproducible and independent of worker scheduling.  With
+jobs > 1 an experiment runs all its replications through one process pool;
+every replication runs with one BLAS thread.
 """
 
+import contextlib
 import csv
+import ctypes
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -75,11 +79,87 @@ def _rep_seeds(seed: int, reps: int) -> List[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(reps)
 
 
+#: Replications a pool worker takes per round trip.  Larger chunks save
+#: little more and lengthen the tail at the end of a run.
+_CHUNK = 4
+
+
+def _openblas_symbol(lib, name):
+    """lib's OpenBLAS function `name` under any of its exported spellings,
+    or None."""
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            fn = getattr(lib, prefix + name + suffix, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _openblas_thread_controls() -> List[tuple]:
+    """(get, set) of the thread count of every OpenBLAS mapped into this
+    process (numpy and scipy each bundle one) that exports both; none where
+    /proc/self/maps cannot be read."""
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = {
+                line.split()[-1]
+                for line in handle
+                if "openblas" in line.lower() and "/" in line
+            }
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # the mapped file is gone, e.g. "(deleted)"
+            continue
+        get = _openblas_symbol(lib, "get_num_threads")
+        set_threads = _openblas_symbol(lib, "set_num_threads")
+        if get is not None and set_threads is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            controls.append((get, set_threads))
+    return controls
+
+
+def _pin_one_blas_thread() -> List[tuple]:
+    """Set every loaded OpenBLAS to one thread; returns (set, previous
+    count) per library."""
+    restore = []
+    for get, set_threads in _openblas_thread_controls():
+        restore.append((set_threads, get()))
+        set_threads(1)
+    return restore
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread, then give
+    each library back its thread count."""
+    restore = _pin_one_blas_thread()
+    try:
+        yield
+    finally:
+        for set_threads, threads in restore:
+            set_threads(threads)
+
+
 def _map_reps(fn, args_list, jobs: int):
-    if jobs <= 1:
-        return [fn(*args) for args in args_list]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, *zip(*args_list)))
+    """[fn(*args) for args in args_list], in order.  With jobs > 1 the calls
+    run in one pool of at most `jobs` workers, _CHUNK calls per round trip.
+
+    Every call runs with one BLAS thread, in this process and in each
+    worker: `jobs` workers each running the parent's thread count would
+    oversubscribe the cores, and the same thread count on both paths keeps
+    the results independent of `jobs`."""
+    if jobs <= 1 or len(args_list) <= 1:
+        with _one_blas_thread():
+            return [fn(*args) for args in args_list]
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(args_list)), initializer=_pin_one_blas_thread
+    ) as pool:
+        return list(pool.map(fn, *zip(*args_list), chunksize=_CHUNK))
 
 
 def _with_split_seed(config: PipelineConfig, seedseq) -> PipelineConfig:
@@ -142,14 +222,17 @@ def figure1(
     """Pooled first-coordinate z-scores of the index estimator per model."""
     os.makedirs(out_dir, exist_ok=True)
     models = list(models or ("cloglog", "xsqrt", "cubic", "piecewise"))
-    rows = []
-    summary = {}
+    groups = []
     for model_name in models:
         n, p = FIGURE1_SHAPES.get(model_name, FIGURE1_DEFAULT_SHAPE)
-        pilot_kind = PILOT_FOR_MODEL[model_name]
-        seeds = _rep_seeds(seed, reps)
-        args = [(model_name, n, p, pilot_kind, s) for s in seeds]
-        zs = _map_reps(_figure1_rep, args, jobs)
+        groups.append((model_name, n, p, PILOT_FOR_MODEL[model_name]))
+    # A replication's spawn() advances its SeedSequence, so groups share none.
+    args = [(*group, s) for group in groups for s in _rep_seeds(seed, reps)]
+    results = _map_reps(_figure1_rep, args, jobs)
+    rows = []
+    summary = {}
+    for i, (model_name, n, p, pilot_kind) in enumerate(groups):
+        zs = results[i * reps:(i + 1) * reps]
         rows.extend(
             (model_name, rep, _fmt(z)) for rep, z in enumerate(zs)
         )
@@ -204,13 +287,16 @@ def figure2(
     """Mean squared loss of the link estimate on [-3, 3] against n."""
     os.makedirs(out_dir, exist_ok=True)
     pilot_kind = PILOT_FOR_MODEL[model]
+    args = [
+        (model, n, max(1, int(round(FIGURE2_RATIO * n))), pilot_kind, s)
+        for n in ns
+        for s in _rep_seeds(seed + n, reps)
+    ]
+    results = _map_reps(_figure2_rep, args, jobs)
     rows = []
     mean_losses = {}
-    for n in ns:
-        p = max(1, int(round(FIGURE2_RATIO * n)))
-        seeds = _rep_seeds(seed + n, reps)
-        args = [(model, n, p, pilot_kind, s) for s in seeds]
-        losses = _map_reps(_figure2_rep, args, jobs)
+    for i, n in enumerate(ns):
+        losses = results[i * reps:(i + 1) * reps]
         rows.extend((n, rep, _fmt(v)) for rep, v in enumerate(losses))
         mean_losses[int(n)] = float(np.mean(losses))
     _write_csv(
@@ -395,16 +481,20 @@ def table1(
     os.makedirs(out_dir, exist_ok=True)
     n, p = TABLE1_SHAPE
     models = list(models or TABLE1_COMPETITORS)
+    args = [
+        (model_name, n, p, TABLE1_COMPETITORS[model_name], s)
+        for model_name in models
+        for s in _rep_seeds(seed, reps)
+    ]
+    results = _map_reps(_table1_rep, args, jobs)
     rows = []
     summary = {}
-    for model_name in models:
+    for i, model_name in enumerate(models):
         estimators = TABLE1_COMPETITORS[model_name]
-        seeds = _rep_seeds(seed, reps)
-        args = [(model_name, n, p, estimators, s) for s in seeds]
-        results = _map_reps(_table1_rep, args, jobs)
+        group = results[i * reps:(i + 1) * reps]
         summary[model_name] = {}
         for kind in list(estimators) + ["proposed"]:
-            values = np.array([r[kind] for r in results])
+            values = np.array([r[kind] for r in group])
             rows.append((model_name, kind, _fmt(values.mean()), _fmt(values.std())))
             summary[model_name][kind] = {
                 "mean": float(values.mean()),

@@ -49,6 +49,17 @@ def split_data(n: int, cfg: SplitConfig) -> Tuple[np.ndarray, np.ndarray]:
     return np.sort(perm[:n1]), np.sort(perm[n1:])
 
 
+def config_section(doc: dict, key: str) -> dict:
+    """doc[key] of a config document, {} when absent; a ConfigError when it
+    is not an object."""
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(
+            f"config section {key!r} must be an object, not {type(section).__name__}"
+        )
+    return section
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Pipeline choices; JSON-mappable via from_dict / to_dict."""
@@ -116,18 +127,18 @@ class PipelineConfig:
         extra = set(doc) - known
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        pilot = doc.get("pilot", {})
-        deconv = doc.get("deconv", {})
-        penalty = doc.get("penalty", {})
-        inference = doc.get("inference", {})
-        split = doc.get("split", {})
-        grid_doc = deconv.get("grid", {})
+        pilot = config_section(doc, "pilot")
+        deconv = config_section(doc, "deconv")
+        penalty = config_section(doc, "penalty")
+        inference = config_section(doc, "inference")
+        split = config_section(doc, "split")
+        grid_doc = config_section(deconv, "grid")
         grid = default_grid(
             grid_doc.get("a", -3.0),
             grid_doc.get("b", 3.0),
             grid_doc.get("points", 301),
         )
-        bw = deconv.get("bandwidth", {})
+        bw = config_section(deconv, "bandwidth")
         kernel_name = deconv.get("kernel", "triweight")
         if kernel_name not in KERNELS:
             raise ConfigError(f"unknown kernel {kernel_name!r}")

@@ -1,5 +1,6 @@
 """CSV ingestion and the command-line front end."""
 
+import functools
 import json
 import os
 import tempfile
@@ -11,7 +12,16 @@ from hypothesis.extra.numpy import arrays
 
 from sindex.cli import _build_parser, _load_config, dataset_to_csv, ingest_csv, main
 from sindex.errors import DataError
-from sindex.experiments import ExperimentSpec, _simulate, figure2, run_experiment
+from sindex import experiments
+from sindex.experiments import (
+    ExperimentSpec,
+    _simulate,
+    figure1,
+    figure2,
+    figure3,
+    run_experiment,
+    table1,
+)
 from sindex.inference import effective_variance_oracle
 from sindex.models import Dataset, DesignSpec
 from sindex.pipeline import PipelineConfig, SplitConfig, run_pipeline
@@ -111,6 +121,27 @@ def test_cli_config_error_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        ('{"inference": "ridge"}', []),
+        ('{"inference": "ridge"}', ["--alpha", "0.1"]),
+        ('{"deconv": {"bandwidth": 2.5}}', []),
+        ('{"pilot": {"kind": "ridge",}}', []),
+        ('["pilot"]', []),
+    ],
+)
+def test_cli_malformed_config_exit_code(tmp_path, capsys, text, flags):
+    sim_dir = tmp_path / "sim"
+    main(["simulate", "--model", "cubic", "--n", "40", "--p", "4", "--out", str(sim_dir)])
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    data, out = str(sim_dir / "data.csv"), str(tmp_path / "fit")
+    rc = main(["infer", "--data", data, "--config", str(cfg), *flags, "--out", out])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_unknown_model_exit_code(tmp_path):
     rc = main(
         [
@@ -200,13 +231,65 @@ def test_experiment_outputs_deterministic(tmp_path):
 
 
 def test_experiment_outputs_identical_across_jobs(tmp_path):
-    names = ("figure2_losses.csv", "figure2_mean_loss.csv", "manifest.json")
-    outputs = []
-    for jobs in (1, 2):
-        out = tmp_path / f"jobs{jobs}"
-        figure2(str(out), ns=(64, 128), reps=4, seed=99, jobs=jobs)
-        outputs.append([(out / name).read_bytes() for name in names])
-    assert outputs[0] == outputs[1]
+    runs = {
+        # cloglog is 500 x 50 and xsqrt 500 x 200: one pool runs both shapes.
+        "figure1": functools.partial(figure1, models=("cloglog", "xsqrt"), reps=3),
+        "figure2": functools.partial(figure2, ns=(64, 128), reps=4),
+        "table1": functools.partial(table1, models=("logit", "cubic+"), reps=2),
+    }
+    for name, run in runs.items():
+        outputs = []
+        for jobs in (1, 2):
+            out = tmp_path / name / f"jobs{jobs}"
+            run(str(out), seed=99, jobs=jobs)
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1], name
+
+
+def test_each_experiment_runs_one_pool(tmp_path, monkeypatch):
+    pools = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    custom = {"model": "cloglog", "n": 200, "p": 20, "pilot": {"kind": "ls"}}
+    runs = {
+        "figure1": functools.partial(figure1, models=("cloglog", "cubic"), reps=2),
+        "figure2": functools.partial(figure2, ns=(64, 128), reps=2),
+        "table1": functools.partial(table1, models=("logit", "cubic"), reps=2),
+        "figure3": functools.partial(figure3, reps=2),
+        "custom": lambda out, jobs: run_experiment(
+            ExperimentSpec("custom", out, reps=2, jobs=jobs, custom_config=custom)
+        ),
+    }
+    for name, run in runs.items():
+        pools.clear()
+        run(str(tmp_path / name), jobs=2)
+        assert pools == [2], name
+
+
+def _blas_threads(*_args):
+    return [get() for get, _ in experiments._openblas_thread_controls()]
+
+
+def test_replications_run_on_one_blas_thread():
+    controls = experiments._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS that reports its thread count is loaded")
+    before = _blas_threads()
+    try:
+        for _, set_threads in controls:
+            set_threads(2)
+        for jobs in (1, 2):
+            seen = experiments._map_reps(_blas_threads, [(0,), (1,)], jobs)
+            assert seen == [[1] * len(controls)] * 2, jobs
+            assert _blas_threads() == [2] * len(controls)
+    finally:
+        for (_, set_threads), threads in zip(controls, before):
+            set_threads(threads)
 
 
 @settings(max_examples=60, deadline=None)
