@@ -13,15 +13,9 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError, PipelineError, SindexError
-from .experiments import ExperimentSpec, run_experiment
-from .models import (
-    Dataset,
-    DesignSpec,
-    generate_responses,
-    model_lookup,
-    sample_coefficients,
-    sample_design,
-)
+from .experiments import ExperimentSpec, _simulate, run_experiment
+from .models import Dataset
+from .pilot import PILOT_KINDS
 from .pipeline import PipelineConfig, config_section, run_pipeline
 
 
@@ -121,12 +115,9 @@ def _load_config(args) -> PipelineConfig:
 
 
 def _cmd_simulate(args) -> int:
-    model = model_lookup(args.model)
-    design = DesignSpec.identity(args.p)
-    seeds = np.random.SeedSequence(args.seed).spawn(3)
-    beta = sample_coefficients(args.p, args.beta_scheme, design, seeds[0])
-    x = sample_design(args.n, design, seeds[1])
-    y = generate_responses(x, beta, model, seeds[2])
+    x, y, beta, _ = _simulate(
+        args.model, args.n, args.p, args.beta_scheme, np.random.SeedSequence(args.seed)
+    )
     os.makedirs(args.out, exist_ok=True)
     data_path = os.path.join(args.out, "data.csv")
     dataset_to_csv(Dataset(x, y), data_path)
@@ -224,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--data", required=True)
         cmd.add_argument("--response", default="y")
         cmd.add_argument("--config", help="pipeline config JSON")
-        cmd.add_argument("--pilot", choices=("ridge", "ls", "logit-mle", "pois-mle"))
+        cmd.add_argument("--pilot", choices=PILOT_KINDS)
         cmd.add_argument("--lambda", dest="pilot_lambda", type=float)
         cmd.add_argument("--penalty", choices=("none", "ridge"))
         cmd.add_argument("--penalty-lambda", type=float)

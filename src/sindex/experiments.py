@@ -1,11 +1,13 @@
 """Monte Carlo experiment harness emitting plot-ready CSV files.
 
-Four named experiments at desk scale:
+Five named experiments, with desk- and paper-scale replications in REPS:
 
   figure1  pooled index z-scores per model (normality of the debiased index)
   figure2  mean squared link loss on [-3, 3] against the sample size
   figure3  pooled t-statistics and CI coverage under the ridge penalty
-  table1   effective-variance comparison of pilots against the refit
+  table1   effective variance of least squares, of the model's pilot (the
+           pipeline's own) and of the refit
+  custom   replicated pipeline runs from a JSON config document
 
 Every replication derives its seeds from one SeedSequence counter, so
 results are reproducible and independent of worker scheduling.  With
@@ -37,20 +39,27 @@ from .models import (
     sample_coefficients,
     sample_design,
 )
-from .pilot import MLE_FAMILY, fit_pilot, glm_mle_fit, least_squares_fit
+from .pilot import fit_pilot, least_squares_fit
 from .pipeline import PipelineConfig, SplitConfig, run_pipeline
 
-EXPERIMENTS = ("figure1", "figure2", "figure3", "table1", "custom")
+#: Replications per experiment: (desk scale, paper scale).
+REPS = {
+    "figure1": (200, 1000),
+    "figure2": (50, 1000),
+    "figure3": (300, 1000),
+    "table1": (100, 100),
+    "custom": (100, 100),
+}
 
-#: Pilot assignment per data-generating model.
+#: Pilot assignment per data-generating model, in table1's row order.
 PILOT_FOR_MODEL = {
+    "logit": "logit-mle",
     "cloglog": "logit-mle",
+    "poisson": "pois-mle",
     "xsqrt": "pois-mle",
     "cubic": "ls",
-    "piecewise": "ls",
-    "logit": "logit-mle",
-    "poisson": "pois-mle",
     "cubic+": "ls",
+    "piecewise": "ls",
     "piecewise+": "ls",
 }
 
@@ -67,16 +76,25 @@ class ExperimentSpec:
     custom_config: Optional[dict] = None
 
     def __post_init__(self):
-        if self.name not in EXPERIMENTS:
+        if self.name not in REPS:
             raise ConfigError(
-                f"unknown experiment {self.name!r}; choose from {EXPERIMENTS}"
+                f"unknown experiment {self.name!r}; choose from {tuple(REPS)}"
             )
         if self.reps is not None and self.reps < 1:
             raise ConfigError("replications must be >= 1")
 
 
-def _rep_seeds(seed: int, reps: int) -> List[np.random.SeedSequence]:
-    return np.random.SeedSequence(seed).spawn(reps)
+def _children(seedseq, count: int) -> List[np.random.SeedSequence]:
+    """The children spawn(count) gives a fresh copy of seedseq; unlike
+    spawn(), leaves seedseq as it is, so it draws the same data each time."""
+    return [
+        np.random.SeedSequence(
+            seedseq.entropy,
+            spawn_key=(*seedseq.spawn_key, i),
+            pool_size=seedseq.pool_size,
+        )
+        for i in range(count)
+    ]
 
 
 #: Replications a pool worker takes per round trip.  Larger chunks save
@@ -162,34 +180,49 @@ def _map_reps(fn, args_list, jobs: int):
         return list(pool.map(fn, *zip(*args_list), chunksize=_CHUNK))
 
 
+def _run_groups(fn, groups, reps: int, jobs: int) -> List[list]:
+    """fn(*args, seedseq) for each (entropy, args) of groups and each
+    seedseq of SeedSequence(entropy).spawn(reps), through one _map_reps
+    call; returns the results as one list per group."""
+    tasks = [
+        (*args, seedseq)
+        for entropy, args in groups
+        for seedseq in np.random.SeedSequence(entropy).spawn(reps)
+    ]
+    results = _map_reps(fn, tasks, jobs)
+    return [results[i:i + reps] for i in range(0, len(tasks), reps)]
+
+
 def _with_split_seed(config: PipelineConfig, seedseq) -> PipelineConfig:
     """config with its split seed drawn from seedseq."""
     seed = int(seedseq.generate_state(1)[0])
     return replace(config, split=replace(config.split, seed=seed))
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_manifest(out_dir, manifest) -> None:
+def _write_outputs(out_dir, tables, manifest) -> dict:
+    """Create out_dir, write each {file name: (header, rows)} of tables as
+    a CSV file and manifest as manifest.json; returns manifest."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        with open(os.path.join(out_dir, name), "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(rows)
     with open(os.path.join(out_dir, "manifest.json"), "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    return manifest
 
 
 def _simulate(model_name, n, p, scheme, seedseq, design=None):
     """One synthetic dataset with rows drawn from N_p(0, Sigma) of `design`
     (identity when omitted); returns (X, y, beta, design)."""
     design = DesignSpec.identity(p) if design is None else design
-    s_beta, s_x, s_y = seedseq.spawn(3)
+    s_beta, s_x, s_y = _children(seedseq, 3)
     beta = sample_coefficients(p, scheme, design, s_beta)
     x = sample_design(n, design, s_x)
     y = generate_responses(x, beta, model_lookup(model_name), s_y)
@@ -215,24 +248,20 @@ def _figure1_rep(model_name, n, p, pilot_kind, seedseq) -> float:
 def figure1(
     out_dir: str,
     models: Optional[Sequence[str]] = None,
-    reps: int = 200,
+    reps: int = REPS["figure1"][0],
     seed: int = 20240,
     jobs: int = 1,
 ) -> dict:
     """Pooled first-coordinate z-scores of the index estimator per model."""
-    os.makedirs(out_dir, exist_ok=True)
     models = list(models or ("cloglog", "xsqrt", "cubic", "piecewise"))
     groups = []
     for model_name in models:
         n, p = FIGURE1_SHAPES.get(model_name, FIGURE1_DEFAULT_SHAPE)
-        groups.append((model_name, n, p, PILOT_FOR_MODEL[model_name]))
-    # A replication's spawn() advances its SeedSequence, so groups share none.
-    args = [(*group, s) for group in groups for s in _rep_seeds(seed, reps)]
-    results = _map_reps(_figure1_rep, args, jobs)
+        groups.append((seed, (model_name, n, p, PILOT_FOR_MODEL[model_name])))
+    results = _run_groups(_figure1_rep, groups, reps, jobs)
     rows = []
     summary = {}
-    for i, (model_name, n, p, pilot_kind) in enumerate(groups):
-        zs = results[i * reps:(i + 1) * reps]
+    for (_, (model_name, n, p, pilot_kind)), zs in zip(groups, results):
         rows.extend(
             (model_name, rep, _fmt(z)) for rep, z in enumerate(zs)
         )
@@ -245,7 +274,6 @@ def figure1(
             "mean": float(np.mean(zs)),
             "variance": float(np.var(zs)),
         }
-    _write_csv(os.path.join(out_dir, "figure1_zscores.csv"), ["model", "rep", "z"], rows)
     manifest = {
         "experiment": "figure1",
         "reps": reps,
@@ -254,8 +282,8 @@ def figure1(
         "split": "none (index step uses every observation)",
         "summary": summary,
     }
-    _write_manifest(out_dir, manifest)
-    return manifest
+    tables = {"figure1_zscores.csv": (["model", "rep", "z"], rows)}
+    return _write_outputs(out_dir, tables, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -280,33 +308,22 @@ def figure2(
     out_dir: str,
     model: str = "piecewise",
     ns: Sequence[int] = (64, 128, 256, 512),
-    reps: int = 50,
+    reps: int = REPS["figure2"][0],
     seed: int = 20240,
     jobs: int = 1,
 ) -> dict:
     """Mean squared loss of the link estimate on [-3, 3] against n."""
-    os.makedirs(out_dir, exist_ok=True)
     pilot_kind = PILOT_FOR_MODEL[model]
-    args = [
-        (model, n, max(1, int(round(FIGURE2_RATIO * n))), pilot_kind, s)
+    groups = [
+        (seed + n, (model, n, max(1, int(round(FIGURE2_RATIO * n))), pilot_kind))
         for n in ns
-        for s in _rep_seeds(seed + n, reps)
     ]
-    results = _map_reps(_figure2_rep, args, jobs)
+    results = _run_groups(_figure2_rep, groups, reps, jobs)
     rows = []
     mean_losses = {}
-    for i, n in enumerate(ns):
-        losses = results[i * reps:(i + 1) * reps]
+    for n, losses in zip(ns, results):
         rows.extend((n, rep, _fmt(v)) for rep, v in enumerate(losses))
         mean_losses[int(n)] = float(np.mean(losses))
-    _write_csv(
-        os.path.join(out_dir, "figure2_losses.csv"), ["n", "rep", "sq_loss"], rows
-    )
-    _write_csv(
-        os.path.join(out_dir, "figure2_mean_loss.csv"),
-        ["n", "mean_sq_loss"],
-        [(n, _fmt(v)) for n, v in mean_losses.items()],
-    )
     manifest = {
         "experiment": "figure2",
         "model": model,
@@ -318,8 +335,14 @@ def figure2(
         "split": "none (link step uses every observation)",
         "summary": {"mean_loss": mean_losses},
     }
-    _write_manifest(out_dir, manifest)
-    return manifest
+    tables = {
+        "figure2_losses.csv": (["n", "rep", "sq_loss"], rows),
+        "figure2_mean_loss.csv": (
+            ["n", "mean_sq_loss"],
+            [(n, _fmt(v)) for n, v in mean_losses.items()],
+        ),
+    }
+    return _write_outputs(out_dir, tables, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +371,7 @@ FIGURE3_CONFIG = PipelineConfig(
 
 
 def _figure3_rep(model_name, n, p, config, scheme, seedseq) -> tuple:
-    s_data, s_split = seedseq.spawn(2)
+    s_data, s_split = _children(seedseq, 2)
     x, y, beta, design = _simulate(model_name, n, p, scheme, s_data)
     config = _with_split_seed(config, s_split)
     try:
@@ -377,27 +400,20 @@ def _figure3_rep(model_name, n, p, config, scheme, seedseq) -> tuple:
 def figure3(
     out_dir: str,
     model: str = "cloglog",
-    reps: int = 300,
+    reps: int = REPS["figure3"][0],
     seed: int = 20240,
     jobs: int = 1,
 ) -> dict:
     """Pooled T_1 statistics and empirical CI coverage (ridge mode), at
     FIGURE3_SHAPE with FIGURE3_CONFIG."""
-    os.makedirs(out_dir, exist_ok=True)
     n, p = FIGURE3_SHAPE
     config = FIGURE3_CONFIG
     scheme = "uniform-sphere"
-    seeds = _rep_seeds(seed, reps)
-    args = [(model, n, p, config, scheme, s) for s in seeds]
-    results = _map_reps(_figure3_rep, args, jobs)
+    group = (seed, (model, n, p, config, scheme))
+    [results] = _run_groups(_figure3_rep, [group], reps, jobs)
     t_stats = np.array([r[0] for r in results])
     covered = np.array([r[1] for r in results])
     fallbacks = int(sum(r[2] for r in results))
-    _write_csv(
-        os.path.join(out_dir, "figure3_tstats.csv"),
-        ["rep", "T1", "covered"],
-        [(rep, _fmt(t), int(c)) for rep, (t, c, _) in enumerate(results)],
-    )
     manifest = {
         "experiment": "figure3",
         "model": model,
@@ -406,9 +422,9 @@ def figure3(
         "reps": reps,
         "seed": seed,
         "alpha": config.alpha,
-        "pilot": {"kind": "ridge", "lambda": config.pilot_lam},
-        "penalty": {"kind": "ridge", "lambda": config.penalty_lam},
-        "bandwidth": {"mode": "fixed", "h": config.deconv.h},
+        "pilot": {"kind": config.pilot_kind, "lambda": config.pilot_lam},
+        "penalty": {"kind": config.penalty, "lambda": config.penalty_lam},
+        "bandwidth": {"mode": config.deconv.bandwidth_mode, "h": config.deconv.h},
         "beta_scheme": scheme,
         "split": "none (every observation reused in both stages)",
         "summary": {
@@ -419,92 +435,66 @@ def figure3(
             "bandwidth_fallbacks": fallbacks,
         },
     }
-    _write_manifest(out_dir, manifest)
-    return manifest
+    rows = [(rep, _fmt(t), int(c)) for rep, (t, c, _) in enumerate(results)]
+    tables = {"figure3_tstats.csv": (["rep", "T1", "covered"], rows)}
+    return _write_outputs(out_dir, tables, manifest)
 
 
 # ---------------------------------------------------------------------------
 # table1: effective-variance comparison
 # ---------------------------------------------------------------------------
 
-#: Competitor estimators reported next to the refit for each model.
-TABLE1_COMPETITORS = {
-    "logit": ("ls", "logit-mle"),
-    "cloglog": ("ls", "logit-mle"),
-    "poisson": ("ls", "pois-mle"),
-    "xsqrt": ("ls", "pois-mle"),
-    "cubic": ("ls",),
-    "cubic+": ("ls",),
-    "piecewise": ("ls",),
-    "piecewise+": ("ls",),
-}
-
-
-def _table1_rep(model_name, n, p, estimators, seedseq) -> dict:
-    s_data, s_split = seedseq.spawn(2)
-    x, y, beta, _ = _simulate(model_name, n, p, "uniform-sphere", s_data)
-    out = {}
-    for kind in estimators:
-        if kind == "ls":
-            est = least_squares_fit(x, y)
-        else:
-            est = glm_mle_fit(x, y, MLE_FAMILY[kind])
-        out[kind] = effective_variance_oracle(est, beta)
-    config = PipelineConfig(
-        pilot_kind=PILOT_FOR_MODEL[model_name],
-        pilot_lam=None,
-        # Flat-top kernel: the efficiency statistic is scale sensitive, so
-        # the link estimate must carry no smoothing attenuation.
-        deconv=DeconvConfig(kernel=KERNELS["flattop"]),
-        penalty="none",
-        penalty_lam=0.0,
-        inference_mode="unregularized",
-        split=SplitConfig(no_split=True),
-    )
-    report = run_pipeline(Dataset(x, y), config)
-    out["proposed"] = effective_variance_oracle(report.coef.beta, beta)
-    return out
-
-
 #: (n, p) of table1; the reference does not state them.
 TABLE1_SHAPE = (2000, 50)
+
+#: table1's pipeline, with each model's PILOT_FOR_MODEL pilot in place of
+#: pilot_kind.  Flat-top kernel: the efficiency statistic is scale
+#: sensitive, so the link estimate must carry no smoothing attenuation.
+TABLE1_CONFIG = PipelineConfig(
+    pilot_lam=None,
+    deconv=DeconvConfig(kernel=KERNELS["flattop"]),
+    penalty="none",
+    penalty_lam=0.0,
+    inference_mode="unregularized",
+    split=SplitConfig(no_split=True),
+)
+
+
+def _table1_rep(model_name, n, p, seedseq) -> dict:
+    """Effective variance of least squares, of the pipeline's pilot (when
+    it is not least squares) and of the refit, in that order."""
+    (s_data,) = _children(seedseq, 1)
+    x, y, beta, _ = _simulate(model_name, n, p, "uniform-sphere", s_data)
+    pilot_kind = PILOT_FOR_MODEL[model_name]
+    report = run_pipeline(Dataset(x, y), replace(TABLE1_CONFIG, pilot_kind=pilot_kind))
+    ls = report.pilot.beta if pilot_kind == "ls" else least_squares_fit(x, y)
+    fits = {"ls": ls, pilot_kind: report.pilot.beta, "proposed": report.coef.beta}
+    return {kind: effective_variance_oracle(b, beta) for kind, b in fits.items()}
 
 
 def table1(
     out_dir: str,
     models: Optional[Sequence[str]] = None,
-    reps: int = 100,
+    reps: int = REPS["table1"][0],
     seed: int = 20240,
     jobs: int = 1,
 ) -> dict:
     """Mean and sd of the effective-variance statistic per (model, estimator)."""
-    os.makedirs(out_dir, exist_ok=True)
     n, p = TABLE1_SHAPE
-    models = list(models or TABLE1_COMPETITORS)
-    args = [
-        (model_name, n, p, TABLE1_COMPETITORS[model_name], s)
-        for model_name in models
-        for s in _rep_seeds(seed, reps)
-    ]
-    results = _map_reps(_table1_rep, args, jobs)
+    models = list(models or PILOT_FOR_MODEL)
+    groups = [(seed, (model_name, n, p)) for model_name in models]
+    results = _run_groups(_table1_rep, groups, reps, jobs)
     rows = []
     summary = {}
-    for i, model_name in enumerate(models):
-        estimators = TABLE1_COMPETITORS[model_name]
-        group = results[i * reps:(i + 1) * reps]
+    for model_name, group in zip(models, results):
         summary[model_name] = {}
-        for kind in list(estimators) + ["proposed"]:
+        for kind in group[0]:
             values = np.array([r[kind] for r in group])
             rows.append((model_name, kind, _fmt(values.mean()), _fmt(values.std())))
             summary[model_name][kind] = {
                 "mean": float(values.mean()),
                 "sd": float(values.std()),
             }
-    _write_csv(
-        os.path.join(out_dir, "table1_efficiency.csv"),
-        ["model", "estimator", "mean", "sd"],
-        rows,
-    )
     manifest = {
         "experiment": "table1",
         "models": models,
@@ -516,42 +506,31 @@ def table1(
         "note": "paper does not state (n, p) for this table; desk-scale values used",
         "summary": summary,
     }
-    _write_manifest(out_dir, manifest)
-    return manifest
+    tables = {"table1_efficiency.csv": (["model", "estimator", "mean", "sd"], rows)}
+    return _write_outputs(out_dir, tables, manifest)
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Dispatch a named experiment with desk- or paper-scale replications."""
-    if spec.name == "figure1":
-        reps = spec.reps or (1000 if spec.paper_scale else 200)
-        return figure1(
-            spec.out_dir, models=spec.models, reps=reps, seed=spec.seed, jobs=spec.jobs
-        )
-    if spec.name == "figure2":
-        reps = spec.reps or (1000 if spec.paper_scale else 50)
-        ns = (32, 64, 128, 256, 512, 1024) if spec.paper_scale else (64, 128, 256, 512)
-        model = spec.models[0] if spec.models else "piecewise"
-        return figure2(
-            spec.out_dir, model=model, ns=ns, reps=reps, seed=spec.seed, jobs=spec.jobs
-        )
-    if spec.name == "figure3":
-        reps = spec.reps or (1000 if spec.paper_scale else 300)
-        model = spec.models[0] if spec.models else "cloglog"
-        return figure3(spec.out_dir, model=model, reps=reps, seed=spec.seed, jobs=spec.jobs)
-    if spec.name == "table1":
-        reps = spec.reps or 100
-        return table1(
-            spec.out_dir, models=spec.models, reps=reps, seed=spec.seed, jobs=spec.jobs
-        )
+    reps = spec.reps or REPS[spec.name][spec.paper_scale]
+    common = dict(reps=reps, seed=spec.seed, jobs=spec.jobs)
     if spec.name == "custom":
-        if spec.custom_config is None:
-            raise ConfigError("custom experiments need a config document")
-        return _custom_experiment(spec)
-    raise ConfigError(f"unknown experiment {spec.name!r}")
+        return _custom_experiment(spec, reps)
+    if spec.name == "figure1":
+        return figure1(spec.out_dir, models=spec.models, **common)
+    if spec.name == "table1":
+        return table1(spec.out_dir, models=spec.models, **common)
+    if spec.models:
+        common["model"] = spec.models[0]
+    if spec.name == "figure2":
+        if spec.paper_scale:
+            common["ns"] = (32, 64, 128, 256, 512, 1024)
+        return figure2(spec.out_dir, **common)
+    return figure3(spec.out_dir, **common)
 
 
 def _custom_rep(model_name, n, p, scheme, design, config, seedseq) -> tuple:
-    s_data, s_split = seedseq.spawn(2)
+    s_data, s_split = _children(seedseq, 2)
     x, y, beta, _ = _simulate(model_name, n, p, scheme, s_data, design)
     rep_config = _with_split_seed(config, s_split)
     report = run_pipeline(Dataset(x, y), rep_config, design=design)
@@ -559,8 +538,10 @@ def _custom_rep(model_name, n, p, scheme, design, config, seedseq) -> tuple:
     return report.inference.mu_hat, report.inference.sigma2_hat, ev
 
 
-def _custom_experiment(spec: ExperimentSpec) -> dict:
+def _custom_experiment(spec: ExperimentSpec, reps: int) -> dict:
     """Replicated pipeline runs from a JSON config document."""
+    if spec.custom_config is None:
+        raise ConfigError("custom experiments need a config document")
     doc = dict(spec.custom_config)
     model_name = doc.pop("model", None)
     n = doc.pop("n", None)
@@ -574,17 +555,9 @@ def _custom_experiment(spec: ExperimentSpec) -> dict:
     else:
         design = DesignSpec.from_sigma(np.asarray(sigma, dtype=float))
     config = PipelineConfig.from_dict(doc)
-    reps = spec.reps or 100
-    os.makedirs(spec.out_dir, exist_ok=True)
-    seeds = _rep_seeds(spec.seed, reps)
-    args = [(model_name, n, p, scheme, design, config, s) for s in seeds]
-    results = _map_reps(_custom_rep, args, spec.jobs)
+    group = (spec.seed, (model_name, n, p, scheme, design, config))
+    [results] = _run_groups(_custom_rep, [group], reps, spec.jobs)
     eff_vars = [ev for _, _, ev in results]
-    _write_csv(
-        os.path.join(spec.out_dir, "custom_replications.csv"),
-        ["rep", "mu_hat", "sigma2_hat", "effective_variance"],
-        [(rep, *map(_fmt, r)) for rep, r in enumerate(results)],
-    )
     manifest = {
         "experiment": "custom",
         "model": model_name,
@@ -598,5 +571,7 @@ def _custom_experiment(spec: ExperimentSpec) -> dict:
             "effective_variance_sd": float(np.std(eff_vars)),
         },
     }
-    _write_manifest(spec.out_dir, manifest)
-    return manifest
+    header = ["rep", "mu_hat", "sigma2_hat", "effective_variance"]
+    rows = [(rep, *map(_fmt, r)) for rep, r in enumerate(results)]
+    tables = {"custom_replications.csv": (header, rows)}
+    return _write_outputs(spec.out_dir, tables, manifest)

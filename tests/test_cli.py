@@ -22,8 +22,9 @@ from sindex.experiments import (
     run_experiment,
     table1,
 )
+from sindex import pilot
 from sindex.inference import effective_variance_oracle
-from sindex.models import Dataset, DesignSpec
+from sindex.models import Dataset, DesignSpec, sample_coefficients, sample_design
 from sindex.pipeline import PipelineConfig, SplitConfig, run_pipeline
 
 
@@ -231,11 +232,16 @@ def test_experiment_outputs_deterministic(tmp_path):
 
 
 def test_experiment_outputs_identical_across_jobs(tmp_path):
+    custom = {"model": "cloglog", "n": 200, "p": 40, "split": {"fraction": 0.5}}
     runs = {
         # cloglog is 500 x 50 and xsqrt 500 x 200: one pool runs both shapes.
         "figure1": functools.partial(figure1, models=("cloglog", "xsqrt"), reps=3),
         "figure2": functools.partial(figure2, ns=(64, 128), reps=4),
         "table1": functools.partial(table1, models=("logit", "cubic+"), reps=2),
+        "figure3": functools.partial(figure3, reps=2),
+        "custom": lambda out, seed, jobs: run_experiment(
+            ExperimentSpec("custom", out, reps=2, seed=seed, jobs=jobs, custom_config=custom)
+        ),
     }
     for name, run in runs.items():
         outputs = []
@@ -269,6 +275,58 @@ def test_each_experiment_runs_one_pool(tmp_path, monkeypatch):
         pools.clear()
         run(str(tmp_path / name), jobs=2)
         assert pools == [2], name
+
+
+def test_run_experiment_dispatches_every_name(tmp_path, monkeypatch):
+    custom = {"model": "cloglog", "n": 200, "p": 20, "pilot": {"kind": "ls"}}
+    models = {
+        "figure1": ["cloglog"],
+        "figure2": ["piecewise"],
+        "figure3": ["cloglog"],
+        "table1": ["cubic"],
+        "custom": None,
+    }
+    assert set(models) == set(experiments.REPS)
+    for name, restricted in models.items():
+        out = tmp_path / name
+        spec = ExperimentSpec(name, str(out), reps=1, models=restricted, custom_config=custom)
+        manifest = run_experiment(spec)
+        assert (manifest["experiment"], manifest["reps"]) == (name, 1)
+        written = json.loads((out / "manifest.json").read_text())
+        assert written == json.loads(json.dumps(manifest))
+    # Without reps the paper-scale count comes from the table.
+    monkeypatch.setitem(experiments.REPS, "figure2", (50, 1))
+    out = tmp_path / "paper"
+    manifest = run_experiment(ExperimentSpec("figure2", str(out), paper_scale=True))
+    assert manifest["reps"] == 1
+    assert manifest["ns"] == [32, 64, 128, 256, 512, 1024]
+
+
+def test_table1_fits_each_pilot_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fit_coefficients(*args, **kwargs)
+
+    fit_coefficients = pilot.fit_coefficients
+    monkeypatch.setattr(pilot, "fit_coefficients", counting)
+    table1(str(tmp_path), models=("logit",), reps=2, jobs=1)
+    assert len(calls) == 2  # one logistic MLE per replication
+
+
+def test_simulate_leaves_its_seed_sequence_unchanged():
+    seedseq = np.random.SeedSequence(7)
+    first = _simulate("cloglog", 30, 5, "uniform-sphere", seedseq)
+    second = _simulate("cloglog", 30, 5, "uniform-sphere", seedseq)
+    for a, b in zip(first[:3], second[:3]):
+        assert a.tobytes() == b.tobytes()
+    # The draws are those of spawn(3) on a fresh copy.
+    s_beta, s_x, _ = np.random.SeedSequence(7).spawn(3)
+    design = DesignSpec.identity(5)
+    assert first[0].tobytes() == sample_design(30, design, s_x).tobytes()
+    beta = sample_coefficients(5, "uniform-sphere", design, s_beta)
+    assert first[2].tobytes() == beta.tobytes()
 
 
 def _blas_threads(*_args):
