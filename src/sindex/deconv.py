@@ -14,8 +14,12 @@ see, omega = max |x - W| / h, and from the exponent c = M0^2 varsigma^2 /
 (2 h^2), by a rule measured to keep the sums within 1e-11 of the exact
 integral (`_panel_nodes`).  All grid sums are evaluated through the cosine
 addition identity, which turns the kernel sums into a fixed-order inner
-product over quadrature nodes (identical to summing kernel evaluations,
-but one pass over the data).
+product over quadrature nodes: per node, sums of cos(t W / h) and
+sin(t W / h) over the data, mixed per grid point.  Gauss-Legendre nodes are
+symmetric about each panel's midpoint m, so the nodes m -+ d pair up and
+their data sums follow from the waves of m and of the offsets d alone;
+panels of equal length share the offsets.  The data-side trig work is one
+wave per panel and one per pair of nodes, not one per node.
 """
 
 import csv
@@ -232,30 +236,45 @@ def _panel_nodes(length: float, omega: float, c: float) -> int:
     return min(8 * int(np.ceil(n / 8.0)), _MAX_PANEL_NODES)
 
 
-def _kernel_coefficients(
-    h: float, varsigma: float, spec: KernelSpec, omega: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes t_k and coefficients psi_k with K(u) = sum_k psi_k cos(t_k u),
-    accurate for |u| <= omega: composite Gauss-Legendre on the panels of
-    [0, M0] between the kernel's breaks."""
+def _kernel_panels(h: float, varsigma: float, spec: KernelSpec, omega: float):
+    """Midpoint m, half length r and Gauss-Legendre rule (nodes x, weights)
+    on [-1, 1] of each panel of [0, M0] between the kernel's breaks; the
+    panel's nodes are m + r x.  The rules are symmetric: x = -x[::-1] and
+    weights = weights[::-1], bit for bit, so each panel's nodes pair up as
+    m -+ r x[len(x) // 2:]."""
     if h <= 0:
         raise ConfigError("bandwidth must be positive")
     c = (M0 * varsigma / h) ** 2 / 2.0
     edges = (0.0, *spec.breaks, M0)
-    t, w = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, wx = _gauss_legendre(_panel_nodes(b - a, omega, c))
-        t.append(a + 0.5 * (b - a) * (x + 1.0))
-        w.append(0.5 * (b - a) * wx)
-    t, w = np.concatenate(t), np.concatenate(w)
+    return [
+        (0.5 * (a + b), 0.5 * (b - a), *_gauss_legendre(_panel_nodes(b - a, omega, c)))
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
+
+
+def _panel_coefficients(
+    panels, h: float, varsigma: float, spec: KernelSpec
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes t_k and coefficients psi_k of the composite rule on panels."""
+    t = np.concatenate([m + r * x for m, r, x, _ in panels])
+    w = np.concatenate([r * wx for _, r, _, wx in panels])
     exponent = t * t * varsigma * varsigma / (2.0 * h * h)
-    if np.max(exponent) > _MAX_EXPONENT:
+    if exponent.max() > _MAX_EXPONENT:
         raise KernelOverflowError(
             f"kernel integrand exp({np.max(exponent):.1f}) overflows; "
             "the noise scale is too large for this bandwidth"
         )
     psi = w * spec.fourier(t) * np.exp(exponent) / np.pi
     return t, psi
+
+
+def _kernel_coefficients(
+    h: float, varsigma: float, spec: KernelSpec, omega: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes t_k and coefficients psi_k with K(u) = sum_k psi_k cos(t_k u),
+    accurate for |u| <= omega: composite Gauss-Legendre on the panels of
+    [0, M0] between the kernel's breaks."""
+    return _panel_coefficients(_kernel_panels(h, varsigma, spec, omega), h, varsigma, spec)
 
 
 def deconv_kernel_eval(
@@ -317,29 +336,63 @@ def nw_deconv_grid(
         sum_i y_i K((x - W_i)/h) / sum_i K((x - W_i)/h);
     points whose denominator is below _DENOM_TOL * n in absolute value are
     masked invalid (NaN in the returned values).
+
+    The kernel is the quadrature sum of `_kernel_coefficients`, so both
+    sums are inner products over nodes t_k of per-node data sums, such as
+    sum_i y_i cos(t_k W_i / h), with the grid waves cos(t_k x / h) and
+    sin(t_k x / h).  The data sums are built per panel from the pairs
+    t = m -+ d of its symmetric Gauss-Legendre nodes, through the angle
+    sum formulas, from the waves of m and d instead of those of each node.
     """
     w = np.asarray(index.w, dtype=float)
     y = np.asarray(y, dtype=float)
     if w.shape != y.shape:
         raise ConfigError("index and response lengths differ")
     grid = config.grid
-    omega = max(grid[-1] - np.min(w), np.max(w) - grid[0]) / h  # max |x - W| / h
-    t, psi = _kernel_coefficients(
-        h, float(np.sqrt(index.varsigma2)), config.kernel, omega
-    )
-    a = t / h
-    # cos(a(x - W)) = cos(ax)cos(aW) + sin(ax)sin(aW): collapse the data
-    # sums per node, then mix per grid point.
-    arg_w = np.multiply.outer(a, w)
-    cos_w, sin_w = np.cos(arg_w), np.sin(arg_w)
-    num_cos, num_sin = cos_w @ y, sin_w @ y
-    den_cos, den_sin = cos_w.sum(axis=1), sin_w.sum(axis=1)
-    arg_x = np.multiply.outer(grid, a)
-    cos_x, sin_x = np.cos(arg_x), np.sin(arg_x)
-    num = cos_x @ (psi * num_cos) + sin_x @ (psi * num_sin)
-    den = cos_x @ (psi * den_cos) + sin_x @ (psi * den_sin)
+    omega = max(grid[-1] - w.min(), w.max() - grid[0]) / h  # max |x - W| / h
+    varsigma = float(np.sqrt(index.varsigma2))
+    panels = _kernel_panels(h, varsigma, config.kernel, omega)
+    t, psi = _panel_coefficients(panels, h, varsigma, config.kernel)
+    # Data side.  A panel's nodes are m -+ d_j, so with c = cos, s = sin:
+    #   c((m -+ d)W) = c(mW)c(dW) +- s(mW)s(dW),
+    #   s((m -+ d)W) = s(mW)c(dW) -+ c(mW)s(dW),
+    # and the per-node sums of y c, c, y s and s over the data come from
+    # products of the offset waves c(dW), s(dW) with the midpoint waves.
+    # Panels of equal length and node count share their offsets.
+    rows, offsets, n_off = {}, [], 0
+    for _, r, x, _ in panels:
+        if (r, len(x)) not in rows:
+            half = len(x) // 2
+            rows[r, len(x)] = slice(n_off, n_off + half)
+            offsets.append(r * x[half:])
+            n_off += half
+    freq = np.concatenate((*offsets, [m for m, *_ in panels])) / h
+    arg = np.multiply.outer(freq, w)
+    cos_w, sin_w = np.cos(arg), np.sin(arg)
+    cos_m, sin_m = cos_w[n_off:], sin_w[n_off:]
+    # Midpoint waves in blocks of one row per panel: y c, c, y s, s, y c, c.
+    # The first four blocks against c(dW) give cc = sum (y c, c, y s, s)(mW)
+    # c(dW); the last four against s(dW) give ss = sum (y s, s, y c, c)(mW)
+    # s(dW), whose first half is negated so that cc + ss holds the sums at
+    # m + d and cc - ss those at m - d.
+    y_cos = cos_m * y
+    waves = np.concatenate((y_cos, cos_m, sin_m * y, sin_m, y_cos, cos_m))
+    q = 2 * len(panels)
+    cc = cos_w[:n_off] @ waves[:2 * q].T
+    ss = sin_w[:n_off] @ waves[q:].T
+    ss[:, :q] *= -1.0
+    upper, lower = cc + ss, cc - ss
+    # Nodes in the order of t: each panel's m - d reversed, then its m + d.
+    sums = []
+    for p, (_, r, x, _) in enumerate(panels):
+        sl, cols = rows[r, len(x)], slice(p, None, len(panels))
+        sums += [lower[sl, cols][::-1], upper[sl, cols]]
+    sums = psi[:, None] * np.concatenate(sums)  # columns y c, c, y s, s
+    # Grid side: cos(a(x - W)) = cos(ax)cos(aW) + sin(ax)sin(aW).
+    arg_x = np.multiply.outer(grid, t / h)
+    num, den = (np.cos(arg_x) @ sums[:, :2] + np.sin(arg_x) @ sums[:, 2:]).T
     valid = np.abs(den) >= _DENOM_TOL * len(w)
-    if not np.any(valid):
+    if not valid.any():
         raise EmptyEstimateError("every grid point has negligible kernel mass")
     raw = np.full(len(grid), np.nan)
     raw[valid] = num[valid] / den[valid]

@@ -82,6 +82,10 @@ class ExperimentSpec:
             )
         if self.reps is not None and self.reps < 1:
             raise ConfigError("replications must be >= 1")
+        if self.name == "custom" and self.models:
+            raise ConfigError("custom experiments take their model from the config document")
+        if self.name in ("figure2", "figure3") and len(self.models or ()) > 1:
+            raise ConfigError(f"{self.name} runs one model; got {list(self.models)}")
 
 
 def _children(seedseq, count: int) -> List[np.random.SeedSequence]:

@@ -123,6 +123,23 @@ def test_cli_config_error_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "name, models",
+    [("figure2", ["cubic", "piecewise"]), ("figure3", ["cubic", "piecewise"]), ("custom", ["cubic"])],
+)
+def test_cli_experiment_rejects_models_it_cannot_run(tmp_path, name, models):
+    # figure2 and figure3 run one model, and a custom document names its own.
+    cfg = tmp_path / "custom.json"
+    cfg.write_text('{"model": "cloglog", "n": 50, "p": 5}')
+    out = tmp_path / "x"
+    rc = main(
+        ["experiment", "--name", name, "--reps", "1", "--models", *models,
+         "--config", str(cfg), "--out", str(out)]
+    )
+    assert rc == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "text, flags",
     [
         ('{"inference": "ridge"}', []),

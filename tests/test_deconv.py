@@ -12,7 +12,11 @@ from sindex.deconv import (
     DeconvConfig,
     KERNELS,
     M0,
+    KernelSpec,
+    _MAX_PANEL_NODES,
+    _gauss_legendre,
     _kernel_coefficients,
+    _triweight_fourier,
     deconv_kernel_eval,
     default_grid,
     estimate_link,
@@ -119,6 +123,55 @@ def test_flattop_grid_closer_to_reference_than_single_256_panel():
     old_err = np.max(np.abs(old - reference))
     assert new_err < old_err
     assert new_err <= 1e-12
+
+
+def test_gauss_legendre_rules_are_symmetric_bit_for_bit():
+    # nw_deconv_grid pairs the nodes m -+ d of each panel; that needs every
+    # rule _panel_nodes can ask for to be exactly antisymmetric in its nodes
+    # and symmetric in its weights.
+    for nodes in range(8, _MAX_PANEL_NODES + 1, 8):
+        x, wx = _gauss_legendre(nodes)
+        assert len(x) == nodes
+        assert np.array_equal(x, -x[::-1]), nodes
+        assert np.array_equal(wx, wx[::-1]), nodes
+
+
+#: Triweight window with a panel end at 0.3: two panels of unequal length.
+SPLIT_TRIWEIGHT = KernelSpec(_triweight_fourier, "split", breaks=(0.3,))
+
+
+@pytest.mark.parametrize("n", [64, 2000])
+@pytest.mark.parametrize(
+    "spec", [KERNELS["triweight"], KERNELS["flattop"], SPLIT_TRIWEIGHT], ids=lambda s: s.label
+)
+def test_nw_sums_match_long_double_rule(spec, n):
+    # The grid ratio against a direct long-double evaluation of the same
+    # quadrature rule, kernel value by kernel value, at the grid points with
+    # a well-conditioned denominator.  table1's shape at n = 2000.
+    varsigma2 = 0.12
+    gen = np.random.default_rng(n + len(spec.breaks))
+    z = gen.standard_normal(n)
+    w = z + np.sqrt(varsigma2) * gen.standard_normal(n)
+    y = (gen.random(n) < 1.0 / (1.0 + np.exp(-z))).astype(float)
+    h = select_bandwidth(n, np.sqrt(varsigma2))
+    cfg = DeconvConfig(grid=default_grid(-3.0, 3.0, 31), kernel=spec)
+    raw, _ = nw_deconv_grid(IndexEstimate(w=w, varsigma2=varsigma2), y, h, cfg)
+
+    omega = max(cfg.grid[-1] - w.min(), w.max() - cfg.grid[0]) / h
+    t, psi = _kernel_coefficients(h, np.sqrt(varsigma2), spec, omega)
+    t, psi = t.astype(np.longdouble), psi.astype(np.longdouble)
+    wl, yl = w.astype(np.longdouble), y.astype(np.longdouble)
+    num, den = [], []
+    for x in cfg.grid:
+        k = psi @ np.cos(np.multiply.outer(t, (np.longdouble(x) - wl) / np.longdouble(h)))
+        num.append(k @ yl)
+        den.append(k.sum())
+    num, den = np.array(num), np.array(den)
+    usable = np.abs(den) >= 1e-3 * np.abs(psi).sum() * n
+    assert usable.mean() >= 0.5
+    reference = (num[usable] / den[usable]).astype(float)
+    err = np.max(np.abs(raw[usable] - reference)) / (y.max() - y.min())
+    assert err <= 1e-12
 
 
 def test_kernel_overflow_error():
