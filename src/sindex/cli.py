@@ -66,12 +66,14 @@ def _raise_bad_row(path, header, rows) -> None:
 
 
 def dataset_to_csv(data: Dataset, path, response: str = "y") -> None:
-    """Write a Dataset with round-trip float formatting."""
+    """Write a Dataset with round-trip float formatting.  The header goes
+    through csv.writer, which quotes a response name holding a comma; the
+    float reprs need no quoting, so each data row is one join."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"x{j + 1}" for j in range(data.p)] + [response])
+        csv.writer(handle).writerow([f"x{j + 1}" for j in range(data.p)] + [response])
         for row, y in zip(data.x.tolist(), data.y.tolist()):
-            writer.writerow([repr(v) for v in row] + [repr(y)])
+            row.append(y)
+            handle.write(",".join(map(repr, row)) + "\r\n")
 
 
 def _read_config(path) -> dict:

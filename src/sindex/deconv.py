@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import (
     BandwidthConstraintError,
@@ -197,11 +196,13 @@ def build_antiderivative(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Antiderivative values at the grid nodes, zero at the left edge.
 
     The cumulative trapezoid rule is the exact integral of the
-    piecewise-linear interpolant of (xs, vs).
+    piecewise-linear interpolant of (xs, vs); the expression is scipy's
+    `cumulative_trapezoid(vs, xs, initial=0.0)`, operation for operation.
     """
     xs = np.asarray(xs, dtype=float)
     vs = np.asarray(vs, dtype=float)
-    return cumulative_trapezoid(vs, xs, initial=0.0)
+    steps = np.diff(xs) * (vs[1:] + vs[:-1]) / 2.0
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 @functools.lru_cache(maxsize=64)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.stats import kstest
 
 from sindex.cli import _build_parser, _load_config, dataset_to_csv, ingest_csv, main
 from sindex.errors import DataError
@@ -385,6 +386,50 @@ def test_csv_round_trip_is_bit_identical(table):
         back = ingest_csv(path, "y")
     assert back.x.tobytes() == data.x.tobytes()
     assert back.y.tobytes() == data.y.tobytes()
+
+
+def test_response_name_with_comma_is_quoted(tmp_path):
+    data = Dataset(np.array([[0.1, -2.0], [3.5, 1e-300]]), np.array([1.0, 0.25]))
+    path = tmp_path / "q.csv"
+    dataset_to_csv(data, path, response="y,1")
+    with open(path, newline="") as handle:
+        assert handle.readline() == 'x1,x2,"y,1"\r\n'
+    back = ingest_csv(path, "y,1")
+    assert back.x.tobytes() == data.x.tobytes()
+    assert back.y.tobytes() == data.y.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.integers(1, 300),
+        elements=st.one_of(
+            st.floats(-8.0, 8.0),
+            st.sampled_from([-1.0, 0.0, 0.5, 2.0]),  # ties
+            st.floats(allow_nan=False),
+        ),
+    )
+)
+def test_ks_distance_is_bit_identical_to_scipy(sample):
+    assert experiments._ks_distance(sample) == kstest(sample, "norm").statistic
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [[0.3], [-2.5], [0.0, 0.0, 0.0], [1.0, -1.0, 1.0, 0.2, -1.0]],
+    ids=["one", "one-negative", "all-tied", "ties"],
+)
+def test_ks_distance_small_and_tied_samples(sample):
+    assert experiments._ks_distance(sample) == kstest(sample, "norm").statistic
+
+
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_ks_distance_propagates_nan(where):
+    sample = np.array([0.4, -1.2, 2.0, 0.1, -0.3])
+    sample[where] = np.nan
+    assert np.isnan(kstest(sample, "norm").statistic)
+    assert np.isnan(experiments._ks_distance(sample))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -217,11 +217,28 @@ def test_censored_mode_runs():
 )
 def test_module_imports_first_in_fresh_interpreter(module):
     # Guards against import cycles that only show for one import order.
+    done = _run_fresh(f"import sindex.{module}; from sindex.debias import IndexEstimate")
+    assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_loads_no_scipy_integrate_or_stats():
+    # Cold start: the package needs only scipy.linalg and scipy.special;
+    # scipy.stats and scipy.integrate alone would add most of the import.
+    code = (
+        "import sys, sindex.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.integrate', 'scipy.stats'))))"
+    )
+    done = _run_fresh(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def _run_fresh(code):
+    """Run code in a new interpreter that imports this sindex."""
     src = os.path.dirname(os.path.dirname(sindex.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-    code = f"import sindex.{module}; from sindex.debias import IndexEstimate"
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
-    assert done.returncode == 0, done.stderr

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.integrate import cumulative_trapezoid
 from scipy.special import expit
 
 from sindex.debias import IndexEstimate
@@ -46,6 +49,25 @@ def test_antiderivative_trapezoid_consistency():
     forward = np.diff(g) / np.diff(xs)
     midpoint = 0.5 * (vs[1:] + vs[:-1])
     assert np.max(np.abs(forward - midpoint)) < 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(-1e3, 1e3),
+    st.integers(2, 600).flatmap(
+        lambda m: st.tuples(
+            arrays(np.float64, m - 1, elements=st.floats(1e-6, 1e2)),
+            arrays(np.float64, m, elements=st.floats(-1e6, 1e6)),
+        )
+    ),
+)
+def test_antiderivative_is_bit_identical_to_scipy(start, steps_and_values):
+    steps, vs = steps_and_values
+    xs = start + np.concatenate(([0.0], np.cumsum(steps)))
+    assume(np.all(np.diff(xs) > 0))
+    assert np.array_equal(
+        build_antiderivative(xs, vs), cumulative_trapezoid(vs, xs, initial=0.0)
+    )
 
 
 def test_objective_linear_case_gradient():
