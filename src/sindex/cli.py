@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError, PipelineError, SindexError
-from .experiments import ExperimentSpec, _simulate, run_experiment
+from .experiments import ExperimentSpec, _simulate, _write_outputs, run_experiment
 from .models import Dataset
 from .pilot import PILOT_KINDS
 from .pipeline import PipelineConfig, config_section, run_pipeline
@@ -66,14 +66,11 @@ def _raise_bad_row(path, header, rows) -> None:
 
 
 def dataset_to_csv(data: Dataset, path, response: str = "y") -> None:
-    """Write a Dataset with round-trip float formatting.  The header goes
-    through csv.writer, which quotes a response name holding a comma; the
-    float reprs need no quoting, so each data row is one join."""
-    with open(path, "w", newline="") as handle:
-        csv.writer(handle).writerow([f"x{j + 1}" for j in range(data.p)] + [response])
-        for row, y in zip(data.x.tolist(), data.y.tolist()):
-            row.append(y)
-            handle.write(",".join(map(repr, row)) + "\r\n")
+    """Write a Dataset as CSV: columns x1..xp, then the response."""
+    header = [f"x{j + 1}" for j in range(data.p)] + [response]
+    out_dir, name = os.path.split(os.path.abspath(path))
+    rows = np.column_stack((data.x, data.y)).tolist()
+    _write_outputs(out_dir, {name: (header, rows)}, {})
 
 
 def _read_config(path) -> dict:
@@ -120,37 +117,28 @@ def _cmd_simulate(args) -> int:
     x, y, beta, _ = _simulate(
         args.model, args.n, args.p, args.beta_scheme, np.random.SeedSequence(args.seed)
     )
-    os.makedirs(args.out, exist_ok=True)
     data_path = os.path.join(args.out, "data.csv")
     dataset_to_csv(Dataset(x, y), data_path)
-    with open(os.path.join(args.out, "truth.json"), "w") as handle:
-        json.dump(
-            {
-                "model": args.model,
-                "n": args.n,
-                "p": args.p,
-                "seed": args.seed,
-                "beta_scheme": args.beta_scheme,
-                "beta": beta.tolist(),
-            },
-            handle,
-            indent=2,
-            sort_keys=True,
-        )
-        handle.write("\n")
+    truth = {
+        "model": args.model,
+        "n": args.n,
+        "p": args.p,
+        "seed": args.seed,
+        "beta_scheme": args.beta_scheme,
+        "beta": beta.tolist(),
+    }
+    _write_outputs(args.out, {}, {"truth.json": truth})
     print(f"wrote {data_path}")
     return 0
 
 
 def _run_fit(args):
-    data = ingest_csv(args.data, args.response)
-    config = _load_config(args)
-    report = run_pipeline(data, config)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "report.json"), "w") as handle:
-        handle.write(report.to_json(indent=2))
-        handle.write("\n")
-    report.link.to_csv(os.path.join(args.out, "link.csv"))
+    """Fit args.data; write report.json and link.csv to args.out."""
+    report = run_pipeline(ingest_csv(args.data, args.response), _load_config(args))
+    link = report.link
+    rows = zip(link.grid.tolist(), link.values.tolist(), link.deriv.tolist())
+    tables = {"link.csv": (["x", "ghat", "ghat_deriv"], rows)}
+    _write_outputs(args.out, tables, {"report.json": report.to_dict()})
     return report
 
 
@@ -167,8 +155,11 @@ def _cmd_fit(args) -> int:
 
 def _cmd_infer(args) -> int:
     report = _run_fit(args)
-    report.inference.to_csv(os.path.join(args.out, "inference.csv"))
     inf = report.inference
+    columns = (inf.beta_hat, inf.t_stats, inf.ci_lo, inf.ci_hi, inf.p_values)
+    rows = zip(range(1, report.p + 1), *(a.tolist() for a in columns))
+    header = ["j", "beta_hat", "T", "ci_lo", "ci_hi", "p_value"]
+    _write_outputs(args.out, {"inference.csv": (header, rows)}, {})
     print(
         f"infer: mode={inf.mode}, mu_hat={inf.mu_hat:.6f}, "
         f"sigma2_hat={inf.sigma2_hat:.6f}, alpha={inf.alpha}"

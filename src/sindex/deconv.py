@@ -22,7 +22,6 @@ panels of equal length share the offsets.  The data-side trig work is one
 wave per panel and one per pair of nodes, not one per node.
 """
 
-import csv
 import functools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Tuple
@@ -183,13 +182,6 @@ class LinkEstimate:
             base + slope * dx,
             floored[pos],
         )
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["x", "ghat", "ghat_deriv"])
-            for x, g, d in zip(self.grid, self.values, self.deriv):
-                writer.writerow([repr(float(x)), repr(float(g)), repr(float(d))])
 
 
 def build_antiderivative(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:

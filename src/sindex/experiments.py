@@ -203,10 +203,6 @@ def _with_split_seed(config: PipelineConfig, seedseq) -> PipelineConfig:
     return replace(config, split=replace(config.split, seed=seed))
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
 def _ks_distance(values) -> float:
     """Kolmogorov-Smirnov distance of the sample from N(0, 1): the
     statistic of scipy's two-sided `kstest(values, "norm")`, with the same
@@ -220,19 +216,22 @@ def _ks_distance(values) -> float:
     return float(d_plus if d_plus > d_minus else d_minus)
 
 
-def _write_outputs(out_dir, tables, manifest) -> dict:
-    """Create out_dir, write each {file name: (header, rows)} of tables as
-    a CSV file and manifest as manifest.json; returns manifest."""
+def _write_outputs(out_dir, tables, docs) -> None:
+    """Create out_dir; write each {name: (header, rows)} of tables as CSV
+    and each {name: document} of docs as JSON.  Every file sindex writes
+    comes through here.  CSV rows end in CRLF; csv.writer quotes the header
+    as needed, and each row is one join of str() of its cells (numbers, or
+    names needing no quotes; a float's str is its round-trip repr).  JSON is
+    indented by 2 with sorted keys and a trailing newline."""
     os.makedirs(out_dir, exist_ok=True)
     for name, (header, rows) in tables.items():
         with open(os.path.join(out_dir, name), "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
-    with open(os.path.join(out_dir, "manifest.json"), "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return manifest
+            csv.writer(handle).writerow(header)
+            handle.writelines(",".join(map(str, row)) + "\r\n" for row in rows)
+    for name, doc in docs.items():
+        with open(os.path.join(out_dir, name), "w") as handle:
+            json.dump(doc, handle, indent=2, sort_keys=True)
+            handle.write("\n")
 
 
 def _simulate(model_name, n, p, scheme, seedseq, design=None):
@@ -279,9 +278,7 @@ def figure1(
     rows = []
     summary = {}
     for (_, (model_name, n, p, pilot_kind)), zs in zip(groups, results):
-        rows.extend(
-            (model_name, rep, _fmt(z)) for rep, z in enumerate(zs)
-        )
+        rows.extend((model_name, rep, z) for rep, z in enumerate(zs))
         zs = np.asarray(zs)
         summary[model_name] = {
             "n": n,
@@ -300,7 +297,8 @@ def figure1(
         "summary": summary,
     }
     tables = {"figure1_zscores.csv": (["model", "rep", "z"], rows)}
-    return _write_outputs(out_dir, tables, manifest)
+    _write_outputs(out_dir, tables, {"manifest.json": manifest})
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +337,7 @@ def figure2(
     rows = []
     mean_losses = {}
     for n, losses in zip(ns, results):
-        rows.extend((n, rep, _fmt(v)) for rep, v in enumerate(losses))
+        rows.extend((n, rep, v) for rep, v in enumerate(losses))
         mean_losses[int(n)] = float(np.mean(losses))
     manifest = {
         "experiment": "figure2",
@@ -356,10 +354,11 @@ def figure2(
         "figure2_losses.csv": (["n", "rep", "sq_loss"], rows),
         "figure2_mean_loss.csv": (
             ["n", "mean_sq_loss"],
-            [(n, _fmt(v)) for n, v in mean_losses.items()],
+            list(mean_losses.items()),
         ),
     }
-    return _write_outputs(out_dir, tables, manifest)
+    _write_outputs(out_dir, tables, {"manifest.json": manifest})
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +451,10 @@ def figure3(
             "bandwidth_fallbacks": fallbacks,
         },
     }
-    rows = [(rep, _fmt(t), int(c)) for rep, (t, c, _) in enumerate(results)]
+    rows = [(rep, t, int(c)) for rep, (t, c, _) in enumerate(results)]
     tables = {"figure3_tstats.csv": (["rep", "T1", "covered"], rows)}
-    return _write_outputs(out_dir, tables, manifest)
+    _write_outputs(out_dir, tables, {"manifest.json": manifest})
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +507,9 @@ def table1(
         summary[model_name] = {}
         for kind in group[0]:
             values = np.array([r[kind] for r in group])
-            rows.append((model_name, kind, _fmt(values.mean()), _fmt(values.std())))
-            summary[model_name][kind] = {
-                "mean": float(values.mean()),
-                "sd": float(values.std()),
-            }
+            mean, sd = float(values.mean()), float(values.std())
+            rows.append((model_name, kind, mean, sd))
+            summary[model_name][kind] = {"mean": mean, "sd": sd}
     manifest = {
         "experiment": "table1",
         "models": models,
@@ -524,7 +522,8 @@ def table1(
         "summary": summary,
     }
     tables = {"table1_efficiency.csv": (["model", "estimator", "mean", "sd"], rows)}
-    return _write_outputs(out_dir, tables, manifest)
+    _write_outputs(out_dir, tables, {"manifest.json": manifest})
+    return manifest
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
@@ -589,6 +588,7 @@ def _custom_experiment(spec: ExperimentSpec, reps: int) -> dict:
         },
     }
     header = ["rep", "mu_hat", "sigma2_hat", "effective_variance"]
-    rows = [(rep, *map(_fmt, r)) for rep, r in enumerate(results)]
+    rows = [(rep, *map(float, r)) for rep, r in enumerate(results)]
     tables = {"custom_replications.csv": (header, rows)}
-    return _write_outputs(spec.out_dir, tables, manifest)
+    _write_outputs(spec.out_dir, tables, {"manifest.json": manifest})
+    return manifest

@@ -8,8 +8,6 @@ unregularized ones, and a window the censored ones: the unregularized
 formulas with the fitted indices clamped to the window.
 """
 
-import csv
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -57,25 +55,6 @@ class InferenceReport:
             "p_values": self.p_values.tolist(),
             "reject": self.reject.astype(bool).tolist(),
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["j", "beta_hat", "T", "ci_lo", "ci_hi", "p_value"])
-            for j in range(len(self.beta_hat)):
-                writer.writerow(
-                    [
-                        j + 1,
-                        repr(float(self.beta_hat[j])),
-                        repr(float(self.t_stats[j])),
-                        repr(float(self.ci_lo[j])),
-                        repr(float(self.ci_hi[j])),
-                        repr(float(self.p_values[j])),
-                    ]
-                )
 
 
 def adjust_inferential(

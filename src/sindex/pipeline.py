@@ -33,6 +33,10 @@ class SplitConfig:
     def __post_init__(self):
         if not 0.0 < self.fraction < 1.0:
             raise ConfigError("split fraction must lie in (0, 1)")
+        seed = self.seed
+        integral = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+        if not integral or seed < 0:
+            raise ConfigError(f"split seed must be an integer >= 0, not {seed!r}")
 
 
 def split_data(n: int, cfg: SplitConfig) -> Tuple[np.ndarray, np.ndarray]:
@@ -60,6 +64,44 @@ def config_section(doc: dict, key: str) -> dict:
     return section
 
 
+#: The types a config value may take, by the type of its default; any other
+#: default is a number, which admits an int or a float but not a bool.
+_VALUE_TYPES = {bool: (bool,), int: (int,), str: (str,)}
+
+#: Config entries that may also be null.
+_NULLABLE = {"pilot.lambda", "deconv.bandwidth.h", "deconv.bandwidth.c_h"}
+
+
+def _fill(defaults: dict, doc: dict, where: str = "") -> dict:
+    """defaults, a config document, with each entry of doc in place of its
+    own; a ConfigError names the section and key of an entry that defaults
+    lacks or whose value has the wrong type."""
+    filled = dict(defaults)
+    for key, value in doc.items():
+        name = f"{where}.{key}" if where else key
+        if key not in defaults:
+            section = f"config section {where!r}" if where else "the config"
+            raise ConfigError(
+                f"unknown key {key!r} in {section}; choose from {sorted(defaults)}"
+            )
+        default = defaults[key]
+        if isinstance(default, dict):
+            value = _fill(default, config_section(doc, key), name)
+        else:
+            types = _VALUE_TYPES.get(type(default), (int, float))
+            if name in _NULLABLE:
+                types += (type(None),)
+            if type(value) not in types:
+                allowed = " or ".join(
+                    "null" if t is type(None) else t.__name__ for t in types
+                )
+                raise ConfigError(
+                    f"config value {name} must be {allowed}, not {value!r}"
+                )
+        filled[key] = value
+    return filled
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Pipeline choices; JSON-mappable via from_dict / to_dict."""
@@ -74,6 +116,8 @@ class PipelineConfig:
     split: SplitConfig = field(default_factory=SplitConfig)
 
     def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.penalty not in ("none", "ridge"):
             raise ConfigError(f"unknown penalty {self.penalty!r}")
         if self.penalty == "none":
@@ -121,49 +165,35 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
+        """The config a document describes; each key it leaves out keeps
+        the default."""
         from .deconv import KERNELS, default_grid
 
-        known = {"pilot", "deconv", "penalty", "inference", "split"}
-        extra = set(doc) - known
-        if extra:
-            raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        pilot = config_section(doc, "pilot")
-        deconv = config_section(doc, "deconv")
-        penalty = config_section(doc, "penalty")
-        inference = config_section(doc, "inference")
-        split = config_section(doc, "split")
-        grid_doc = config_section(deconv, "grid")
-        grid = default_grid(
-            grid_doc.get("a", -3.0),
-            grid_doc.get("b", 3.0),
-            grid_doc.get("points", 301),
-        )
-        bw = config_section(deconv, "bandwidth")
-        kernel_name = deconv.get("kernel", "triweight")
-        if kernel_name not in KERNELS:
-            raise ConfigError(f"unknown kernel {kernel_name!r}")
+        doc = _fill(cls().to_dict(), doc)
+        deconv = doc["deconv"]
+        grid, bw = deconv["grid"], deconv["bandwidth"]
+        if grid["points"] < 2:
+            raise ConfigError(f"deconv.grid.points must be >= 2, not {grid['points']}")
+        if deconv["kernel"] not in KERNELS:
+            raise ConfigError(f"unknown kernel {deconv['kernel']!r}")
         deconv_cfg = DeconvConfig(
-            grid=grid,
-            kernel=KERNELS[kernel_name],
-            bandwidth_mode=bw.get("mode", "theory"),
-            h=bw.get("h"),
-            c_h=bw.get("c_h"),
-            monotonizer=deconv.get("monotonizer", "rearrange"),
-            deriv_floor=deconv.get("eps", 1e-3),
+            grid=default_grid(grid["a"], grid["b"], grid["points"]),
+            kernel=KERNELS[deconv["kernel"]],
+            bandwidth_mode=bw["mode"],
+            h=bw["h"],
+            c_h=bw["c_h"],
+            monotonizer=deconv["monotonizer"],
+            deriv_floor=deconv["eps"],
         )
         return cls(
-            pilot_kind=pilot.get("kind", "ridge"),
-            pilot_lam=pilot.get("lambda", 1.0),
+            pilot_kind=doc["pilot"]["kind"],
+            pilot_lam=doc["pilot"]["lambda"],
             deconv=deconv_cfg,
-            penalty=penalty.get("kind", "ridge"),
-            penalty_lam=penalty.get("lambda", 0.1),
-            inference_mode=inference.get("mode", "ridge"),
-            alpha=inference.get("alpha", 0.05),
-            split=SplitConfig(
-                fraction=split.get("fraction", 0.5),
-                no_split=split.get("no_split", False),
-                seed=split.get("seed", 0),
-            ),
+            penalty=doc["penalty"]["kind"],
+            penalty_lam=doc["penalty"]["lambda"],
+            inference_mode=doc["inference"]["mode"],
+            alpha=doc["inference"]["alpha"],
+            split=SplitConfig(**doc["split"]),
         )
 
 

@@ -1,6 +1,9 @@
-"""CSV ingestion and the command-line front end."""
+"""CSV ingestion, the command-line front end and the files it writes."""
 
+import ast
+import csv
 import functools
+import glob
 import json
 import os
 import tempfile
@@ -11,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import kstest
 
+import sindex
+from sindex import cli, experiments
 from sindex.cli import _build_parser, _load_config, dataset_to_csv, ingest_csv, main
 from sindex.errors import DataError
-from sindex import experiments
 from sindex.experiments import (
     ExperimentSpec,
     _simulate,
@@ -116,6 +120,104 @@ def test_cli_simulate_fit_infer(tmp_path):
     assert report["p"] == 20
 
 
+def _read_csv(path):
+    """(header, rows) of a CSV file whose rows all end in CRLF."""
+    raw = path.read_bytes()
+    assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n")
+    with open(path, newline="") as handle:
+        header, *rows = csv.reader(handle)
+    return header, rows
+
+
+def _column(rows, k):
+    """The k-th column of CSV rows as float64 bytes."""
+    return np.array([float(row[k]) for row in rows]).tobytes()
+
+
+def test_written_files_parse_back_bit_for_bit(tmp_path, monkeypatch):
+    sim_dir, fit_dir = tmp_path / "sim", tmp_path / "fit"
+    flags = ["--model", "cubic", "--n", "200", "--p", "20", "--seed", "5"]
+    assert main(["simulate", *flags, "--out", str(sim_dir)]) == 0
+    x, y, beta, _ = _simulate("cubic", 200, 20, "uniform-sphere", np.random.SeedSequence(5))
+    header, rows = _read_csv(sim_dir / "data.csv")
+    assert header == [f"x{j}" for j in range(1, 21)] + ["y"]
+    assert len(rows) == 200
+    table = np.array([[float(cell) for cell in row] for row in rows])
+    assert table.tobytes() == np.column_stack((x, y)).tobytes()
+    truth = json.loads((sim_dir / "truth.json").read_text())
+    assert np.array(truth["beta"]).tobytes() == beta.tobytes()
+    assert (truth["model"], truth["n"], truth["p"], truth["seed"]) == ("cubic", 200, 20, 5)
+
+    # Keep the report the CLI computes, to compare its files against.
+    reports, run_pipeline = [], cli.run_pipeline
+
+    def run_and_keep(*args):
+        reports.append(run_pipeline(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_pipeline", run_and_keep)
+    data = str(sim_dir / "data.csv")
+    flags = ["--pilot", "ls", "--penalty", "none", "--no-split"]
+    assert main(["infer", "--data", data, *flags, "--out", str(fit_dir)]) == 0
+    [report] = reports
+    assert sorted(os.listdir(fit_dir)) == ["inference.csv", "link.csv", "report.json"]
+
+    header, rows = _read_csv(fit_dir / "link.csv")
+    assert header == ["x", "ghat", "ghat_deriv"]
+    assert len(rows) == len(report.link.grid)
+    for k, values in enumerate((report.link.grid, report.link.values, report.link.deriv)):
+        assert _column(rows, k) == values.tobytes()
+
+    inf = report.inference
+    header, rows = _read_csv(fit_dir / "inference.csv")
+    assert header == ["j", "beta_hat", "T", "ci_lo", "ci_hi", "p_value"]
+    assert len(rows) == 20
+    assert [row[0] for row in rows] == [str(j) for j in range(1, 21)]
+    columns = (inf.beta_hat, inf.t_stats, inf.ci_lo, inf.ci_hi, inf.p_values)
+    for k, values in enumerate(columns, start=1):
+        assert _column(rows, k) == values.tobytes()
+
+    text = (fit_dir / "report.json").read_text()
+    doc = report.to_dict()
+    assert json.loads(text) == doc
+    assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _opens_for_writing(call) -> bool:
+    """Whether call is open(...) with a mode that is not a read-only string."""
+    if getattr(call.func, "id", getattr(call.func, "attr", None)) != "open":
+        return False
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    if not modes:
+        return False
+    mode = modes[0]
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True
+    return bool(set(mode.value) & set("wax+"))
+
+
+def _writing_scopes(node, scope, found):
+    """Add to found the innermost function enclosing each open-for-writing
+    under node, with scope naming the function that node is in."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and _opens_for_writing(child):
+            found.add(scope)
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        _writing_scopes(child, inner, found)
+    return found
+
+
+def test_only_the_writer_opens_files_for_writing():
+    # The file formats live in one function; any other writer would fork them.
+    writers = set()
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(sindex.__file__), "*.py"))):
+        with open(path) as handle:
+            tree = ast.parse(handle.read())
+        module = os.path.basename(path)[:-3]
+        writers |= {(module, fn) for fn in _writing_scopes(tree, "<module>", set())}
+    assert writers == {("experiments", "_write_outputs")}
+
+
 def test_cli_config_error_exit_code(tmp_path):
     rc = main(
         ["experiment", "--name", "figure9", "--out", str(tmp_path / "x")]
@@ -159,6 +261,63 @@ def test_cli_malformed_config_exit_code(tmp_path, capsys, text, flags):
     rc = main(["infer", "--data", data, "--config", str(cfg), *flags, "--out", out])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def small_data(tmp_path_factory):
+    """data.csv of a small simulated dataset."""
+    out = tmp_path_factory.mktemp("sim")
+    main(["simulate", "--model", "cubic", "--n", "40", "--p", "4", "--out", str(out)])
+    return str(out / "data.csv")
+
+
+@pytest.mark.parametrize(
+    "doc, section, key",
+    [
+        ({"pilot": {"lamda": 50}}, "pilot", "lamda"),
+        ({"split": {"no-split": True}}, "split", "no-split"),
+        ({"deconv": {"bandwith": {"h": 1.0}}}, "deconv", "bandwith"),
+        ({"deconv": {"grid": {"point": 11}}}, "deconv.grid", "point"),
+        ({"deconv": {"bandwidth": {"c": 1.0}}}, "deconv.bandwidth", "c"),
+    ],
+)
+def test_unknown_config_key_exits_2(tmp_path, capsys, small_data, doc, section, key):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    rc = main(["fit", "--data", small_data, "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert f"unknown key {key!r} in config section {section!r}" in capsys.readouterr().err
+    # A custom experiment checks its pipeline sections the same way.
+    cfg.write_text(json.dumps({"model": "cubic", "n": 40, "p": 4, **doc}))
+    args = ["--name", "custom", "--reps", "1", "--config", str(cfg), "--out", str(out)]
+    assert main(["experiment", *args]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, flags",
+    [
+        ({"split": {"fraction": "0.5"}}, []),
+        ({"deconv": {"grid": {"points": 1.5}}}, []),
+        ({"deconv": {"grid": {"points": -1}}}, []),
+        ({"deconv": {"kernel": ["x"]}}, []),
+        ({"pilot": {"lambda": "1.0"}}, []),
+        ({"penalty": {"lambda": None}}, []),
+        ({"split": {"no_split": 1}}, []),
+        ({"split": {"seed": True}}, []),
+        ({"inference": {"alpha": True}}, []),
+        ({"inference": {"alpha": 1.5}}, []),
+        ({}, ["--seed", "-1"]),
+    ],
+)
+def test_mistyped_or_out_of_range_config_exits_2(tmp_path, capsys, small_data, doc, flags):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    rc = main(["fit", "--data", small_data, "--config", str(cfg), *flags, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_cli_unknown_model_exit_code(tmp_path):

@@ -1,6 +1,5 @@
 """Deconvolution kernel, bandwidth rule, grid regression, and link evaluation."""
 
-import csv
 from fractions import Fraction
 
 import numpy as np
@@ -369,20 +368,6 @@ def test_noise_free_cloglog_sup_error():
         est = IndexEstimate(w=t, varsigma2=0.0)
         link = estimate_link(est, y, DeconvConfig(bandwidth_mode="fixed", h=0.2))
         assert np.max(np.abs(link.values - CLOGLOG_LINK(link.grid))) < 0.1
-
-
-def test_link_estimate_csv(tmp_path):
-    w = rng.standard_normal(100)
-    est = IndexEstimate(w=w, varsigma2=0.02)
-    link = estimate_link(est, w, DeconvConfig(bandwidth_mode="fixed", h=0.5))
-    path = tmp_path / "link.csv"
-    link.to_csv(path)
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["x", "ghat", "ghat_deriv"]
-    assert len(rows) == 1 + len(link.grid)
-    assert float(rows[1][0]) == link.grid[0]
-    assert float(rows[42][1]) == link.values[41]
 
 
 def test_flattop_window_precise_near_one():

@@ -1,8 +1,10 @@
 """Data splitting and end-to-end pipeline runs."""
 
+import glob
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import sindex
 from sindex.deconv import KERNELS, DeconvConfig
 from sindex.errors import ConfigError, PipelineError, SplitError
-from sindex.experiments import _map_reps, _simulate
+from sindex.experiments import FIGURE3_CONFIG, TABLE1_CONFIG, _map_reps, _simulate
 from sindex.models import (
     Dataset,
     DesignSpec,
@@ -212,8 +214,27 @@ def test_censored_mode_runs():
     assert np.isfinite(report.inference.sigma2_hat)
 
 
+def test_configs_check_seed_and_alpha_when_built():
+    for seed in (-1, 1.5, "3", True, None):
+        with pytest.raises(ConfigError, match="seed"):
+            SplitConfig(seed=seed)
+    assert SplitConfig(seed=np.uint32(7)).seed == 7
+    for alpha in (0.0, 1.0, -0.1, 2, float("nan")):
+        with pytest.raises(ConfigError, match="alpha"):
+            PipelineConfig(alpha=alpha)
+    # The experiments' configs survive a round trip through their documents.
+    for config in (PipelineConfig(), FIGURE3_CONFIG, TABLE1_CONFIG):
+        config = replace(config, split=replace(config.split, seed=2**32 - 1))
+        assert PipelineConfig.from_dict(config.to_dict()).to_dict() == config.to_dict()
+
+
 @pytest.mark.parametrize(
-    "module", ["pilot", "surrogate", "deconv", "debias", "inference"]
+    "module",
+    sorted(
+        os.path.basename(path)[:-3]
+        for path in glob.glob(os.path.join(os.path.dirname(sindex.__file__), "*.py"))
+        if not path.endswith("__init__.py")
+    ),
 )
 def test_module_imports_first_in_fresh_interpreter(module):
     # Guards against import cycles that only show for one import order.
