@@ -6,7 +6,9 @@ against several of them on the same design: the ridge pilot, every Newton
 step of the refit, and the inference trace at the fitted coefficients.  A
 Gram object keeps the work that carries over between them: on the dual
 path the unweighted XX', rescaled for each weight vector; on the primal
-path the last X'DX, updated over the rows whose weight changed.
+path the last X'DX, updated over the rows whose weight changed; and the
+Cholesky factor of the last matrix it factored, which the trace takes over
+when the refit's last Newton step left the weights where the fit ended.
 """
 
 import numpy as np
@@ -47,7 +49,8 @@ class Gram:
 
     weighted(weights, ridge, dual) equals weighted_gram(x, weights, ridge,
     dual) up to rounding, and returns a fresh Fortran-ordered matrix that
-    the caller may factor in place.
+    the caller may factor in place.  factor(weights, ridge, dual) is its
+    cho_factor, kept until the next call of either.
     """
 
     def __init__(self, x):
@@ -57,8 +60,33 @@ class Gram:
         self._weights = None
         self._norms = None
         self._mass = 0.0
+        self._factor = None
+        self._factored = None
+
+    def factor(self, weights, ridge=0.0, dual=False):
+        """cho_factor of weighted(weights, ridge, dual), the kept one when
+        the last factor was of exactly these weights, ridge and path.  The
+        caller must not overwrite it; take_factor hands it over."""
+        last = self._factored
+        same = last is not None and last[1:] == (ridge, dual)
+        if not (same and np.array_equal(last[0], weights)):
+            matrix = self.weighted(weights, ridge, dual)
+            self._factor = cho_factor(matrix, overwrite_a=True)
+            self._factored = (np.array(weights, dtype=float), ridge, dual)
+        return self._factor
+
+    def take_factor(self, weights, ridge=0.0, dual=False):
+        """factor(weights, ridge, dual), for the caller to overwrite: the
+        Gram forgets it, and its X'DX too, so that the next call rebuilds."""
+        fac = self.factor(weights, ridge, dual)
+        self._factor = self._factored = None
+        self._xdx = self._weights = None
+        return fac
 
     def weighted(self, weights=None, ridge=0.0, dual=False):
+        # The kept factor goes first: it is not of this matrix, and the
+        # memory it frees is about the size of the one built here.
+        self._factor = self._factored = None
         if dual:
             if self._xxt is None:
                 self._xxt = weighted_gram(self.x, dual=True)
@@ -75,8 +103,10 @@ class Gram:
         return gram
 
     def _primal(self, weights):
-        """X'DX, from the last one when few weights changed."""
-        weights = np.ones(len(self.x)) if weights is None else np.array(weights, dtype=float)
+        """X'DX, from the last one when few weights changed; unit weights
+        (None) build X'X from x itself."""
+        unit = weights is None
+        weights = np.ones(len(self.x)) if unit else np.array(weights, dtype=float)
         if self._norms is None:
             self._norms = np.einsum("ij,ij->i", self.x, self.x)
         if self._weights is not None:
@@ -101,7 +131,7 @@ class Gram:
                 self._weights = weights
                 self._mass = mass
                 return self._xdx
-        self._xdx = weighted_gram(self.x, weights)
+        self._xdx = weighted_gram(self.x, None if unit else weights)
         self._weights = weights
         self._mass = weights @ self._norms
         return self._xdx
@@ -129,20 +159,22 @@ def adjustment_trace(
     tr = ridge * tr(D (S S' + ridge I)^{-1}) with S = D^{1/2} X.  Otherwise
     tr(B^{-1} C), B = X'DX + ridge I and C = (DX)'(DX) both symmetric, is
     summed over the upper triangle of B^{-1}.  gram, a Gram of x, supplies
-    B (or SS' + ridge I); without it a private one is built.  Raises
-    RankError when the Gram matrix is singular.
+    B (or SS' + ridge I) and takes its factor over, which is the refit's
+    last one when the weights are those of its last Newton step; without
+    it a private one is built.  Raises RankError when the Gram matrix is
+    singular.
     """
     n, p = x.shape
     weights = np.asarray(weights, dtype=float)
     dual = ridge > 0.0 and p > n
     gram = Gram(x) if gram is None else gram
     try:
-        fac = cho_factor(gram.weighted(weights, ridge, dual), overwrite_a=True)
+        fac = gram.take_factor(weights, ridge, dual)
     except LinAlgError as err:
         raise RankError(f"weighted Gram matrix is singular: {err}") from err
     inv = cho_inverse(fac)
     if dual:
         return float(ridge * np.sum(weights * np.diag(inv)))
     c = weighted_gram(x, weights * weights)
-    upper = np.triu(inv)
-    return float(np.sum(weights) - 2.0 * np.vdot(upper, c) + np.diag(upper) @ np.diag(c))
+    inv[np.tri(p, k=-1, dtype=bool)] = 0.0  # the upper triangle alone
+    return float(np.sum(weights) - 2.0 * np.vdot(inv, c) + np.diag(inv) @ np.diag(c))

@@ -21,7 +21,8 @@ from .pipeline import PipelineConfig, config_section, run_pipeline
 
 def ingest_csv(path, response: str) -> Dataset:
     """Read a numeric CSV into a Dataset; the named column is the response,
-    the remaining columns become the design matrix in file order."""
+    the remaining columns become the design matrix in file order.  Each
+    row becomes floats as it is read."""
     if not os.path.exists(path):
         raise DataError(f"no such file: {path}")
     with open(path, newline="") as handle:
@@ -35,26 +36,32 @@ def ingest_csv(path, response: str) -> Dataset:
                 f"response column {response!r} not found; file has {header}"
             )
         y_col = header.index(response)
-        rows = list(reader)
+        # The rows go into one array that doubles in place (a realloc)
+        # when full, so that no cell is held twice while reading.
+        table = np.empty((0, len(header)))
+        rows = 0
+        for line_no, row in enumerate(reader, start=2):
+            if rows == len(table):
+                table.resize((2 * rows + 64, len(header)), refcheck=False)
+            table[rows] = _parse_row(path, header, line_no, row)
+            rows += 1
     if not rows:
         raise DataError(f"{path} has a header but no data rows")
-    try:
-        table = np.array(rows, dtype=float)
-    except ValueError:  # a ragged row or a non-numeric cell
-        table = None
-    if table is None or table.shape[1] != len(header):
-        _raise_bad_row(path, header, rows)
+    table.resize((rows, len(header)), refcheck=False)
     return Dataset(np.delete(table, y_col, axis=1), table[:, y_col].copy())
 
 
-def _raise_bad_row(path, header, rows) -> None:
-    """Raise the DataError naming the first row of the wrong length or the
-    first cell that float() rejects, with its line and column."""
-    for line_no, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
-            )
+def _parse_row(path, header, line_no, row) -> np.ndarray:
+    """The cells of row as floats; a DataError with the line when the row
+    has the wrong length, or with the line and column of the first cell
+    that float() rejects."""
+    if len(row) != len(header):
+        raise DataError(
+            f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
+        )
+    try:
+        return np.array(row, dtype=float)
+    except ValueError:
         for name, cell in zip(header, row):
             try:
                 float(cell)
@@ -63,13 +70,14 @@ def _raise_bad_row(path, header, rows) -> None:
                     f"{path}:{line_no}: non-numeric cell {cell!r} "
                     f"in column {name!r}"
                 ) from None
+        raise
 
 
 def dataset_to_csv(data: Dataset, path, response: str = "y") -> None:
     """Write a Dataset as CSV: columns x1..xp, then the response."""
     header = [f"x{j + 1}" for j in range(data.p)] + [response]
     out_dir, name = os.path.split(os.path.abspath(path))
-    rows = np.column_stack((data.x, data.y)).tolist()
+    rows = (row.tolist() + [y] for row, y in zip(data.x, data.y.tolist()))
     _write_outputs(out_dir, {name: (header, rows)}, {})
 
 

@@ -40,7 +40,7 @@ from .models import (
     sample_design,
 )
 from .pilot import fit_pilot, least_squares_fit
-from .pipeline import PipelineConfig, SplitConfig, run_pipeline
+from .pipeline import PipelineConfig, SplitConfig, _fill, run_pipeline
 
 #: Replications per experiment: (desk scale, paper scale).
 REPS = {
@@ -554,22 +554,45 @@ def _custom_rep(model_name, n, p, scheme, design, config, seedseq) -> tuple:
     return report.inference.mu_hat, report.inference.sigma2_hat, ev
 
 
+#: The keys of a custom experiment document besides the pipeline sections,
+#: with defaults that give each its type; model, n and p must be given.
+CUSTOM_DEFAULTS = {
+    "model": "",
+    "n": 0,
+    "p": 0,
+    "sigma": "identity",
+    "beta_scheme": "uniform-sphere",
+}
+
+
+def _custom_design(sigma, p: int) -> DesignSpec:
+    """The design of a custom document's sigma: "identity" or a p x p list."""
+    if sigma == "identity":
+        return DesignSpec.identity(p)
+    try:
+        matrix = np.array(sigma, dtype=float)
+    except (TypeError, ValueError):  # ragged rows, or entries not numbers
+        matrix = None
+    if matrix is None or matrix.shape != (p, p):
+        raise ConfigError(
+            f"config value sigma must be 'identity' or a {p} x {p} list of "
+            f"numbers, not {sigma!r:.60}"
+        )
+    return DesignSpec.from_sigma(matrix)
+
+
 def _custom_experiment(spec: ExperimentSpec, reps: int) -> dict:
     """Replicated pipeline runs from a JSON config document."""
     if spec.custom_config is None:
         raise ConfigError("custom experiments need a config document")
-    doc = dict(spec.custom_config)
-    model_name = doc.pop("model", None)
-    n = doc.pop("n", None)
-    p = doc.pop("p", None)
-    sigma = doc.pop("sigma", "identity")
-    scheme = doc.pop("beta_scheme", "uniform-sphere")
-    if model_name is None or n is None or p is None:
+    doc = _fill({**CUSTOM_DEFAULTS, **PipelineConfig().to_dict()}, spec.custom_config)
+    if not {"model", "n", "p"} <= spec.custom_config.keys():
         raise ConfigError("custom experiments need model, n, and p")
-    if sigma == "identity":
-        design = DesignSpec.identity(p)
-    else:
-        design = DesignSpec.from_sigma(np.asarray(sigma, dtype=float))
+    model_name, n, p, sigma, scheme = (doc.pop(key) for key in CUSTOM_DEFAULTS)
+    model_lookup(model_name)  # an unknown name fails before any replication
+    if n < 1 or p < 1:
+        raise ConfigError(f"custom experiments need n >= 1 and p >= 1, not {n} and {p}")
+    design = _custom_design(sigma, p)
     config = PipelineConfig.from_dict(doc)
     group = (spec.seed, (model_name, n, p, scheme, design, config))
     [results] = _run_groups(_custom_rep, [group], reps, spec.jobs)

@@ -68,8 +68,14 @@ def config_section(doc: dict, key: str) -> dict:
 #: default is a number, which admits an int or a float but not a bool.
 _VALUE_TYPES = {bool: (bool,), int: (int,), str: (str,)}
 
-#: Config entries that may also be null.
-_NULLABLE = {"pilot.lambda", "deconv.bandwidth.h", "deconv.bandwidth.c_h"}
+#: Config entries that may also take one more type: null, or for the sigma
+#: of a custom experiment document a list (of rows).
+_ALSO_TYPE = {
+    "pilot.lambda": type(None),
+    "deconv.bandwidth.h": type(None),
+    "deconv.bandwidth.c_h": type(None),
+    "sigma": list,
+}
 
 
 def _fill(defaults: dict, doc: dict, where: str = "") -> dict:
@@ -89,8 +95,8 @@ def _fill(defaults: dict, doc: dict, where: str = "") -> dict:
             value = _fill(default, config_section(doc, key), name)
         else:
             types = _VALUE_TYPES.get(type(default), (int, float))
-            if name in _NULLABLE:
-                types += (type(None),)
+            if name in _ALSO_TYPE:
+                types += (_ALSO_TYPE[name],)
             if type(value) not in types:
                 allowed = " or ".join(
                     "null" if t is type(None) else t.__name__ for t in types
@@ -279,28 +285,31 @@ def run_pipeline(
     n, p = data.n, data.p
     with _stage("split"):
         idx1, idx2 = split_data(n, config.split)
-    if config.split.no_split:
-        x1 = x2 = data.x
-        y1 = y2 = data.y
-    else:
-        x1, y1 = data.x[idx1], data.y[idx1]
-        x2, y2 = data.x[idx2], data.y[idx2]
-    # One Gram serves every solve on the refit's rows: each Newton step,
-    # the inference trace, and under no_split the ridge pilot as well.
-    gram = Gram(x2)
-    pilot_gram = gram if x1 is x2 else None
+    no_split = config.split.no_split
+    # One half of the split is in memory at a time: the pilot half is copied
+    # for the pilot, index and link, and released before the refit half is
+    # copied.  Under no_split both halves are data itself, and one Gram
+    # serves the pilot as well as the refit.
+    x, y = (data.x, data.y) if no_split else (data.x[idx1], data.y[idx1])
+    gram = Gram(x) if no_split else None
     with _stage("pilot"):
-        pilot = fit_pilot(x1, y1, config.pilot_kind, config.pilot_lam, pilot_gram)
+        pilot = fit_pilot(x, y, config.pilot_kind, config.pilot_lam, gram)
     with _stage("index"):
-        index = debias_index(x1, y1, pilot)
+        index = debias_index(x, y, pilot)
     with _stage("link"):
-        link = estimate_link(index, y1, config.deconv)
+        link = estimate_link(index, y, config.deconv)
+    if not no_split:
+        del x, y
+        x, y = data.x[idx2], data.y[idx2]
+        gram = Gram(x)
+    # The refit's Gram serves each Newton step, and the inference trace
+    # takes over the last Newton step's factor.
     with _stage("coef"):
-        coef = fit_coefficients(x2, y2, link, config.penalty_lam, gram=gram)
+        coef = fit_coefficients(x, y, link, config.penalty_lam, gram=gram)
     window = config.deconv.window if config.inference_mode == "censored" else None
     with _stage("inference"):
         mu_hat, sigma2_hat = adjust_inferential(
-            x2, y2, coef.beta, link, config.penalty_lam, window, gram
+            x, y, coef.beta, link, config.penalty_lam, window, gram
         )
         tau = design.tau if design is not None else np.ones(p)
         report = marginal_inference(

@@ -78,7 +78,8 @@ def _gradient(x, y, b, g, lam):
 
 def _newton_direction(x, w, ridge, grad, gram=None):
     """Solve (X'WX + ridge I) d = -grad, through the n-by-n Woodbury system
-    when p > n; gram, a Gram of x, supplies the weighted Gram matrix.
+    when p > n; gram, a Gram of x, supplies and keeps the factor of the
+    weighted Gram matrix.
 
     A singular Hessian (possible when the link derivative vanishes at the
     current iterate, e.g. a cubic link at the zero start) falls back to a
@@ -87,23 +88,32 @@ def _newton_direction(x, w, ridge, grad, gram=None):
     """
     n, p = x.shape
     gram = Gram(x) if gram is None else gram
-    if ridge > 0.0 and p > n:
-        try:
-            fac = cho_factor(gram.weighted(w, ridge, dual=True), overwrite_a=True)
-            s = np.sqrt(w)
-            inner = cho_solve(fac, s * (x @ grad))
-            return -(grad - x.T @ (s * inner)) / ridge
-        except LinAlgError as err:
+    dual = ridge > 0.0 and p > n
+    try:
+        fac = gram.factor(w, ridge, dual)
+    except LinAlgError as err:
+        if dual:
             raise SolverError(f"Newton system is singular: {err}") from err
-    hess = gram.weighted(w, ridge)
-    base = max(np.trace(hess) / p, float(np.linalg.norm(grad)), 1e-8)
+        fac = _jittered_factor(gram, w, ridge, grad)
+    if dual:
+        s = np.sqrt(w)
+        inner = cho_solve(fac, s * (x @ grad))
+        return -(grad - x.T @ (s * inner)) / ridge
+    return -cho_solve(fac, grad)
+
+
+def _jittered_factor(gram, w, ridge, grad):
+    """cho_factor of X'WX + (ridge + shift) I at the first of 11 growing
+    shifts that makes it positive definite."""
+    scale = np.trace(gram.weighted(w, ridge)) / len(grad)
+    base = max(scale, float(np.linalg.norm(grad)), 1e-8)
     shift = 0.0
-    for _ in range(12):
+    for _ in range(11):
+        shift = base * 1e-8 if shift == 0.0 else shift * 100.0
         try:
-            return -cho_solve(cho_factor(hess, overwrite_a=True), grad)
+            return cho_factor(gram.weighted(w, ridge + shift), overwrite_a=True)
         except LinAlgError:
-            shift = base * 1e-8 if shift == 0.0 else shift * 100.0
-            hess = gram.weighted(w, ridge + shift)
+            pass
     raise SolverError("Newton system stayed singular under diagonal shifts")
 
 

@@ -68,6 +68,31 @@ def test_ingest_parse_error_reports_location(tmp_path):
         ingest_csv(path, "y")
 
 
+@pytest.mark.parametrize(
+    "bad_line, cells, message",
+    [
+        (2500, "1.5,2.5", r":2500: expected 3 fields, got 2$"),
+        (2999, "1.5,x,2.5", r":2999: non-numeric cell 'x' in column 'b'$"),
+        (2001, "", r":2001: expected 3 fields, got 0$"),
+    ],
+)
+def test_ingest_reports_a_bad_row_deep_in_the_file(tmp_path, bad_line, cells, message):
+    # Rows are parsed as they are read; the first bad one is still named by
+    # its line (the header is line 1) and, for a cell, by its column.
+    lines = ["a,b,y"] + [f"{i},{i + 0.5},{-i}" for i in range(2, 3002)]
+    lines[bad_line - 1] = cells
+    lines[3000] = "z,1,2"  # a later bad row (line 3001) is not the one reported
+    path = tmp_path / "d.csv"
+    write(path, "\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=message):
+        ingest_csv(path, "y")
+    lines[bad_line - 1] = lines[3000] = "1,2,3"
+    write(path, "\n".join(lines) + "\n")
+    data = ingest_csv(path, "y")
+    assert data.x.shape == (3000, 2) and data.x.flags.c_contiguous
+    assert data.x[0].tolist() == [2.0, 2.5] and data.y[-2] == -3000.0
+
+
 def test_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     data = Dataset(rng.standard_normal((12, 4)), rng.standard_normal(12))
@@ -317,6 +342,31 @@ def test_mistyped_or_out_of_range_config_exits_2(tmp_path, capsys, small_data, d
     rc = main(["fit", "--data", small_data, "--config", str(cfg), *flags, "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({"n": "40"}, "config value n must be int, not '40'"),
+        ({"n": 40.5}, "config value n must be int, not 40.5"),
+        ({"p": True}, "config value p must be int, not True"),
+        ({"sigma": "eye"}, "sigma must be 'identity' or a 4 x 4 list of numbers"),
+        ({"sigma": [[1.0, 0.0], [0.0, 1.0]]}, "sigma must be 'identity' or a 4 x 4"),
+        ({"sigma": [[1.0], "ab", [], []]}, "sigma must be 'identity' or a 4 x 4"),
+        ({"beta_scheme": 3}, "config value beta_scheme must be str, not 3"),
+        ({"model": ["cubic"]}, "config value model must be str"),
+        ({"n": 0}, "need n >= 1 and p >= 1"),
+        ({"nn": 40}, "unknown key 'nn' in the config; choose from ['beta_scheme', "),
+    ],
+)
+def test_custom_document_keys_are_checked(tmp_path, capsys, entries, message):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"model": "cubic", "n": 40, "p": 4, **entries}))
+    args = ["--name", "custom", "--reps", "1", "--config", str(cfg), "--out", str(out)]
+    assert main(["experiment", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert not out.exists()
 
 

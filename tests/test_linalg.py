@@ -6,12 +6,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import cho_factor
 
+from sindex import _linalg
 from sindex._linalg import Gram, adjustment_trace, cho_inverse, weighted_gram
 from sindex.deconv import DeconvConfig
 from sindex.errors import RankError
 from sindex.experiments import _simulate
 from sindex.inference import adjust_inferential
 from sindex.models import Dataset
+from sindex.pilot import glm_mle_fit, pilot_adjustments
 from sindex.pipeline import PipelineConfig, SplitConfig, run_pipeline
 from sindex.surrogate import _newton_direction, fit_coefficients
 
@@ -177,3 +179,72 @@ def test_no_split_refit_on_the_pilots_gram_equals_a_fresh_fit(n, p):
     mu, sigma2 = adjust_inferential(x, y, fresh.beta, report.link, 0.1)
     assert report.inference.mu_hat == pytest.approx(mu, rel=1e-10)
     assert report.inference.sigma2_hat == pytest.approx(sigma2, rel=1e-10)
+
+
+@pytest.fixture
+def cho_calls(monkeypatch):
+    """The calls of sindex._linalg.cho_factor, the one every Gram makes."""
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return cho_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(_linalg, "cho_factor", counted)
+    return calls
+
+
+def test_gram_keeps_one_factor_for_exactly_equal_weights(cho_calls):
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((30, 6))
+    weights = rng.uniform(0.5, 2.0, 30)
+    gram = Gram(x)
+    fac = gram.factor(weights, 0.3)
+    assert gram.factor(weights.copy(), 0.3) is fac and len(cho_calls) == 1
+    nudged = weights.copy()
+    nudged[7] = np.nextafter(nudged[7], 3.0)
+    for args in ((nudged, 0.3), (weights, 0.3, True), (weights, 0.4), (weights, 0.3)):
+        gram.factor(*args)  # no tolerance: each differs from the one before
+    assert len(cho_calls) == 5
+    gram.weighted(weights, 0.3)  # a matrix handed out drops the kept factor
+    gram.factor(weights, 0.3)
+    assert len(cho_calls) == 6
+    taken = gram.take_factor(weights, 0.3)
+    assert len(cho_calls) == 6
+    reference = weighted_gram(x, weights, 0.3)
+    assert np.allclose(np.triu(taken[0]).T @ np.triu(taken[0]), reference, rtol=1e-12)
+    gram.factor(weights, 0.3)  # the taken factor is not handed out again
+    assert len(cho_calls) == 7
+
+
+@pytest.mark.parametrize("n, p", [(80, 160), (300, 20)])
+def test_trace_after_the_refit_factors_nothing(cho_calls, n, p):
+    # The refit's last Newton step factors X'DX + n lam I (SS' + n lam I on
+    # the dual path) at the weights where it converges, as the link's
+    # derivative is piecewise constant; the trace takes that factor over.
+    x, y, _, _ = _simulate("cloglog", n, p, "uniform-sphere", np.random.SeedSequence(5))
+    config = PipelineConfig(
+        deconv=DeconvConfig(bandwidth_mode="fixed", h=2.5),
+        split=SplitConfig(no_split=True),
+    )
+    link = run_pipeline(Dataset(x, y), config).link
+    cho_calls.clear()
+    gram = Gram(x)
+    fit = fit_coefficients(x, y, link, 0.1, gram=gram)
+    factored = len(cho_calls)
+    assert 1 <= factored <= fit.iterations
+    mu, sigma2 = adjust_inferential(x, y, fit.beta, link, 0.1, None, gram)
+    assert len(cho_calls) == factored
+    fresh = adjust_inferential(x, y, fit.beta, link, 0.1)
+    assert len(cho_calls) == factored + 1
+    assert (mu, sigma2) == pytest.approx(fresh, rel=1e-12)
+
+
+def test_mle_pilot_trace_factors_once(cho_calls):
+    # The MLE pilot's weights at its fit never equal its last Newton
+    # weights, and its trace runs on a Gram of its own.
+    x, y, _, _ = _simulate("logit", 400, 20, "uniform-sphere", np.random.SeedSequence(3))
+    beta = glm_mle_fit(x, y, "logistic")
+    cho_calls.clear()
+    pilot_adjustments(beta, x, y, "logit-mle")
+    assert cho_calls == [(20, 20)]

@@ -4,6 +4,7 @@ import glob
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -263,3 +264,21 @@ def _run_fresh(code):
     return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
+
+
+def test_split_fit_holds_one_half_at_a_time():
+    # Each half is copied for its own stages, the pilot half released before
+    # the refit half is copied, and the trace works in the refit's factor:
+    # the traced peak stays below three copies of one half (3.6 when both
+    # halves were held for the whole fit and the trace factored again).
+    n, p = 4000, 400
+    x, y, _, _ = _simulate("cloglog", n, p, "uniform-sphere", np.random.SeedSequence(0))
+    data = Dataset(x, y)
+    config = PipelineConfig(split=SplitConfig(fraction=0.5))
+    tracemalloc.start()
+    try:
+        run_pipeline(data, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (n // 2) * p * 8
