@@ -65,7 +65,6 @@ from .pilot import (
     glm_mle_fit,
     least_squares_fit,
     observable_adjustments,
-    pilot_adjustments,
 )
 from .pipeline import (
     PipelineConfig,

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError, PipelineError, SindexError
+from .errors import ConfigError, DataError, PipelineError, SindexError
 from .experiments import ExperimentSpec, _simulate, _write_outputs, run_experiment
 from .models import Dataset
 from .pilot import PILOT_KINDS
@@ -36,19 +36,23 @@ def ingest_csv(path, response: str) -> Dataset:
                 f"response column {response!r} not found; file has {header}"
             )
         y_col = header.index(response)
-        # The rows go into one array that doubles in place (a realloc)
-        # when full, so that no cell is held twice while reading.
-        table = np.empty((0, len(header)))
+        # Each row's cells go straight into x and y, which double in place
+        # (a realloc) when full, so that no cell is held twice while reading.
+        x, y = np.empty((0, len(header) - 1)), np.empty(0)
         rows = 0
         for line_no, row in enumerate(reader, start=2):
-            if rows == len(table):
-                table.resize((2 * rows + 64, len(header)), refcheck=False)
-            table[rows] = _parse_row(path, header, line_no, row)
+            if rows == len(y):
+                x.resize((2 * rows + 64, x.shape[1]), refcheck=False)
+                y.resize(2 * rows + 64, refcheck=False)
+            cells = _parse_row(path, header, line_no, row)
+            x[rows, :y_col], x[rows, y_col:] = cells[:y_col], cells[y_col + 1 :]
+            y[rows] = cells[y_col]
             rows += 1
     if not rows:
         raise DataError(f"{path} has a header but no data rows")
-    table.resize((rows, len(header)), refcheck=False)
-    return Dataset(np.delete(table, y_col, axis=1), table[:, y_col].copy())
+    x.resize((rows, x.shape[1]), refcheck=False)
+    y.resize(rows, refcheck=False)
+    return Dataset(x, y)
 
 
 def _parse_row(path, header, line_no, row) -> np.ndarray:
@@ -244,18 +248,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PipelineError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2 if isinstance(err.cause, ConfigError) else 3
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except NumericalError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
     except SindexError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 3
+        cause = err.cause if isinstance(err, PipelineError) else err
+        return 2 if isinstance(cause, ConfigError) else 3
 
 
 if __name__ == "__main__":

@@ -4,22 +4,23 @@ import numpy as np
 
 from .deconv import IndexEstimate
 from .errors import DegenerateError
-from .pilot import PilotFit, pilot_score_residual
+from .pilot import PILOT_LINKS, PilotFit
 
 
 def debias_index(x: np.ndarray, y: np.ndarray, fit: PilotFit) -> IndexEstimate:
     """W_i = mu^{-1} (b'X_i - gamma psi_i) for the pilot b.
 
-    psi is the pilot's score residual: y - b'X for the quadratic-loss
-    pilots and y - g0(b'X) for the MLE pilots.  Using the score keeps the
-    standardized index mu (W - X beta) / sigma standard normal for every
-    pilot kind.
+    psi = y - g(b'X) is the score residual of the pilot's loss, with the
+    working link g of its kind (PILOT_LINKS): the identity for the
+    quadratic-loss pilots, the canonical mean for the MLE pilots.  Using
+    the score keeps the standardized index mu (W - X beta) / sigma standard
+    normal for every pilot kind.
     """
     adj = fit.adjustments
     if adj.mu <= 0:
         raise DegenerateError("pilot adjustment mu is zero; index is undefined")
     xb = x @ fit.beta
-    w = (xb - adj.gamma * pilot_score_residual(fit, x, y)) / adj.mu
+    w = (xb - adj.gamma * (y - PILOT_LINKS[fit.kind].value(xb))) / adj.mu
     return IndexEstimate(w=w, varsigma2=adj.sigma2 / adj.mu ** 2)
 
 

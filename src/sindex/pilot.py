@@ -3,7 +3,8 @@
 Four pilots: ridge, least squares, and the logistic / Poisson MLEs.  Each
 comes with the data-computable adjustment quantities (v, gamma, mu, sigma^2)
 that calibrate the debiased index estimator in the proportional regime.
-One formula, observable_adjustments, gives them for every pilot and for the
+One table, PILOT_LINKS, gives each kind's working link, and one formula,
+observable_adjustments, gives the adjustments for every pilot and for the
 refit's inferential parameters.
 """
 
@@ -22,14 +23,21 @@ from .errors import (
     NonIdentifiableError,
     SolverError,
 )
-from .models import EXP_LINK, LOGISTIC_LINK
+from .models import EXP_LINK, IDENTITY_LINK, LOGISTIC_LINK
 from .surrogate import fit_coefficients
-
-PILOT_KINDS = ("ridge", "ls", "logit-mle", "pois-mle")
 
 #: GLM family of each MLE pilot, and the canonical link of each family.
 MLE_FAMILY = {"logit-mle": "logistic", "pois-mle": "poisson"}
 GLM_LINKS = {"logistic": LOGISTIC_LINK, "poisson": EXP_LINK}
+
+#: Working link of each pilot kind: the quadratic-loss pilots fit the
+#: identity, the MLE pilots their family's canonical link.
+PILOT_LINKS = {
+    "ridge": IDENTITY_LINK,
+    "ls": IDENTITY_LINK,
+    **{kind: GLM_LINKS[family] for kind, family in MLE_FAMILY.items()},
+}
+PILOT_KINDS = tuple(PILOT_LINKS)
 
 #: Norm beyond which a GLM Newton iterate counts as diverged.
 _DIVERGENCE_NORM = 1e6
@@ -164,52 +172,6 @@ def observable_adjustments(
     )
 
 
-def pilot_adjustments(
-    beta: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    kind: str,
-    lam: Optional[float] = None,
-) -> Adjustments:
-    """Observable adjustments for a pilot fitted on (x, y).
-
-    Each kind supplies the working link and v of observable_adjustments:
-      ridge:  identity link, v = n^{-1} tr(I - X(X'X + n lam I)^{-1}X')
-      ls:     identity link, v = 1 - kappa
-      *-mle:  canonical link g0, v = n^{-1} tr(D - DX(X'DX)^{-1}X'D) with
-              D = diag(g0'(X b))
-    """
-    n, p = x.shape
-    z = x @ beta
-    if kind == "ridge":
-        if lam is None or lam <= 0:
-            raise ConfigError("ridge adjustments need a positive lambda")
-        v = adjustment_trace(x, np.ones(n), n * lam) / n
-        return observable_adjustments(y, beta, z, z, v, lam)
-    if kind == "ls":
-        return observable_adjustments(y, beta, z, z, 1.0 - p / n)
-    if kind in MLE_FAMILY:
-        _, fitted, weights = GLM_LINKS[MLE_FAMILY[kind]].evaluate(z)
-        v = adjustment_trace(x, weights, 0.0) / n
-        return observable_adjustments(y, beta, z, fitted, v)
-    raise ConfigError(f"unknown pilot kind {kind!r}; choose from {PILOT_KINDS}")
-
-
-def pilot_score_residual(fit: PilotFit, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Score residual of the pilot's loss at the fitted indices.
-
-    Quadratic-loss pilots (ridge, least squares) leave y - X b; the MLE
-    pilots leave y - g0(X b) with their canonical mean function.  This is
-    the residual that debiases the index estimator.
-    """
-    xb = x @ fit.beta
-    if fit.kind in ("ridge", "ls"):
-        return y - xb
-    if fit.kind in MLE_FAMILY:
-        return y - GLM_LINKS[MLE_FAMILY[fit.kind]].value(xb)
-    raise ConfigError(f"unknown pilot kind {fit.kind!r}")
-
-
 def fit_pilot(
     x: np.ndarray,
     y: np.ndarray,
@@ -219,22 +181,29 @@ def fit_pilot(
 ) -> PilotFit:
     """Fit a pilot of the given kind and attach its adjustments.
 
-    For ridge the solve and the trace share one factorization, of the Gram
-    matrix that gram (a Gram of x, built when not given) supplies.
+    The adjustments are observable_adjustments with the kind's working link
+    g (PILOT_LINKS) at the indices z = X b, and v from
+      ridge:  the solve's factorization, of the Gram matrix that gram (a
+              Gram of x, built when not given) supplies:
+              v = n^{-1} tr(I - X(X'X + n lam I)^{-1}X')
+      ls:     v = 1 - kappa
+      *-mle:  v = n^{-1} tr(D - DX(X'DX)^{-1}X'D) with D = diag(g'(z))
     """
+    if kind not in PILOT_LINKS:
+        raise ConfigError(f"unknown pilot kind {kind!r}; choose from {PILOT_KINDS}")
+    n, p = x.shape
     if kind == "ridge":
         lam = 1.0 if lam is None else lam
         if lam <= 0:
             raise ConfigError("ridge penalty must be positive")
         beta, v = _ridge_solve(x, y, lam, gram)
-        z = x @ beta
-        adj = observable_adjustments(y, beta, z, z, v, lam)
-        return PilotFit(beta=beta, kind=kind, lam=lam, adjustments=adj)
-    if kind == "ls":
-        beta = least_squares_fit(x, y)
-    elif kind in MLE_FAMILY:
-        beta = glm_mle_fit(x, y, MLE_FAMILY[kind])
+    elif kind == "ls":
+        lam, beta, v = None, least_squares_fit(x, y), 1.0 - p / n
     else:
-        raise ConfigError(f"unknown pilot kind {kind!r}; choose from {PILOT_KINDS}")
-    adj = pilot_adjustments(beta, x, y, kind)
-    return PilotFit(beta=beta, kind=kind, lam=None, adjustments=adj)
+        lam, beta = None, glm_mle_fit(x, y, MLE_FAMILY[kind])
+    z = x @ beta
+    _, fitted, weights = PILOT_LINKS[kind].evaluate(z)
+    if kind in MLE_FAMILY:
+        v = adjustment_trace(x, weights, 0.0) / n
+    adj = observable_adjustments(y, beta, z, fitted, v, lam or 0.0)
+    return PilotFit(beta=beta, kind=kind, lam=lam, adjustments=adj)

@@ -13,7 +13,7 @@ from sindex.errors import RankError
 from sindex.experiments import _simulate
 from sindex.inference import adjust_inferential
 from sindex.models import Dataset
-from sindex.pilot import glm_mle_fit, pilot_adjustments
+from sindex.pilot import fit_pilot, glm_mle_fit
 from sindex.pipeline import PipelineConfig, SplitConfig, run_pipeline
 from sindex.surrogate import _newton_direction, fit_coefficients
 
@@ -242,9 +242,11 @@ def test_trace_after_the_refit_factors_nothing(cho_calls, n, p):
 
 def test_mle_pilot_trace_factors_once(cho_calls):
     # The MLE pilot's weights at its fit never equal its last Newton
-    # weights, and its trace runs on a Gram of its own.
+    # weights, and its trace runs on a Gram of its own: the pilot factors
+    # once more than its Newton loop does.
     x, y, _, _ = _simulate("logit", 400, 20, "uniform-sphere", np.random.SeedSequence(3))
-    beta = glm_mle_fit(x, y, "logistic")
+    glm_mle_fit(x, y, "logistic")
+    newton = list(cho_calls)
     cho_calls.clear()
-    pilot_adjustments(beta, x, y, "logit-mle")
-    assert cho_calls == [(20, 20)]
+    fit_pilot(x, y, "logit-mle")
+    assert cho_calls == newton + [(20, 20)]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import expit
 
 from sindex._linalg import adjustment_trace
@@ -20,11 +20,13 @@ from sindex.inference import adjust_inferential
 from sindex.models import LOGISTIC_LINK, DesignSpec, LinkFunction, generate_responses, model_lookup, sample_coefficients, sample_design
 from sindex.pilot import (
     GLM_LINKS,
+    MLE_FAMILY,
+    PILOT_KINDS,
+    PILOT_LINKS,
     fit_pilot,
     glm_mle_fit,
     least_squares_fit,
     observable_adjustments,
-    pilot_adjustments,
 )
 from sindex.surrogate import fit_coefficients, surrogate_objective
 
@@ -165,10 +167,7 @@ def test_glm_family_validation():
 
 
 def test_ridge_adjustments_hand_trace():
-    x = np.array([[1.0]])
-    y = np.array([1.0])
-    beta = fit_pilot(x, y, "ridge", 1.0).beta
-    adj = pilot_adjustments(beta, x, y, "ridge", lam=1.0)
+    adj = fit_pilot(np.array([[1.0]]), np.array([1.0]), "ridge", 1.0).adjustments
     assert adj.v == pytest.approx(0.5)
     assert adj.gamma == pytest.approx(2.0 / 3.0)
 
@@ -176,8 +175,7 @@ def test_ridge_adjustments_hand_trace():
 def test_ls_gamma_at_half_kappa():
     x = rng.standard_normal((10, 5))
     y = rng.standard_normal(10)
-    beta = least_squares_fit(x, y)
-    adj = pilot_adjustments(beta, x, y, "ls")
+    adj = fit_pilot(x, y, "ls").adjustments
     assert adj.kappa == pytest.approx(0.5)
     assert adj.gamma == pytest.approx(1.0)
 
@@ -186,10 +184,9 @@ def test_ridge_v_in_unit_interval_and_ridgeless_limit():
     x = rng.standard_normal((60, 12))
     y = rng.standard_normal(60)
     for lam in (1e-10, 0.1, 1.0, 100.0):
-        beta = fit_pilot(x, y, "ridge", lam).beta
-        adj = pilot_adjustments(beta, x, y, "ridge", lam=lam)
+        adj = fit_pilot(x, y, "ridge", lam).adjustments
         assert 0.0 < adj.v <= 1.0
-    adj = pilot_adjustments(fit_pilot(x, y, "ridge", 1e-10).beta, x, y, "ridge", lam=1e-10)
+    adj = fit_pilot(x, y, "ridge", 1e-10).adjustments
     assert adj.v == pytest.approx(1 - 12 / 60, abs=1e-8)
 
 
@@ -216,15 +213,19 @@ def test_fit_pilot_matches_standalone_ops():
     y = generate_responses(x, beta, model_lookup("cubic"), seed=29)
     fit = fit_pilot(x, y, "ridge", 0.3)
     assert np.allclose(fit.beta, np.linalg.solve(x.T @ x + 80 * 0.3 * np.eye(6), x.T @ y))
-    adj = pilot_adjustments(fit.beta, x, y, "ridge", lam=0.3)
+    # v from the solve's factor against v from the standalone trace.
+    z = x @ fit.beta
+    v = adjustment_trace(x, np.ones(80), 80 * 0.3) / 80
+    adj = observable_adjustments(y, fit.beta, z, z, v, 0.3)
     assert fit.adjustments.v == pytest.approx(adj.v, abs=1e-10)
     assert fit.adjustments.sigma2 == pytest.approx(adj.sigma2, abs=1e-12)
 
 
-def test_ls_kappa_one_degenerate():
-    x = rng.standard_normal((5, 5))
+def test_ls_kappa_one_degenerate(monkeypatch):
+    # least_squares_fit refuses n = p; past it, v = 1 - kappa = 0.
+    monkeypatch.setattr("sindex.pilot.least_squares_fit", lambda x, y: np.zeros(5))
     with pytest.raises(DegenerateError):
-        pilot_adjustments(np.zeros(5), x, rng.standard_normal(5), "ls")
+        fit_pilot(rng.standard_normal((5, 5)), rng.standard_normal(5), "ls")
 
 
 def test_pilot_mu_concentrates_on_oracle():
@@ -250,6 +251,19 @@ def dense_v(x, weights, lam):
     return np.trace(d - d @ x @ inner @ x.T @ d) / n
 
 
+def fit_or_reject(x, y, kind, lam=None):
+    """fit_pilot, with the draws rejected whose MLE does not exist: the data
+    separate, the Newton iterate diverges, or it runs off along a ray (some
+    index beyond 30 in absolute value) before either shows."""
+    try:
+        fit = fit_pilot(x, y, kind, lam)
+    except (NonexistenceError, NonConvergenceError, DegenerateError):
+        assume(kind not in MLE_FAMILY)
+        raise
+    assume(kind not in MLE_FAMILY or np.max(np.abs(x @ fit.beta)) < 30)
+    return fit
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     kind=st.sampled_from(("ridge", "ls", "logit-mle", "pois-mle", "censored")),
@@ -259,44 +273,18 @@ def dense_v(x, weights, lam):
     seed=st.integers(0, 2 ** 32 - 1),
 )
 def test_observable_adjustments_match_written_out_formulas(kind, n, kappa, lam, seed):
-    # The pilots' and the censored refit's adjustments, each against its
-    # own formula with v from a dense inverse.
+    # Each pilot's adjustments at its fit, and the censored refit's, against
+    # the written-out formulas with v from a dense inverse.
     gen = np.random.default_rng(seed)
     p = max(1, int(kappa * n))
     kappa = p / n
     x = gen.standard_normal((n, p))
     b = gen.standard_normal(p) / np.sqrt(p)
     xb = x @ b
-    if kind == "ridge":
-        y = xb + gen.standard_normal(n)
-        adj = pilot_adjustments(b, x, y, "ridge", lam=lam)
-        v = dense_v(x, np.ones(n), lam)
-        gamma = kappa / (v + lam)
-        sigma2 = kappa * np.sum((y - xb) ** 2) / (n * (v + lam) ** 2)
-        terms = (b @ b, sigma2)
-    elif kind == "ls":
-        y = xb + gen.standard_normal(n)
-        adj = pilot_adjustments(b, x, y, "ls")
-        v = dense_v(x, np.ones(n), 0.0)  # 1 - kappa
-        gamma = kappa / (1 - kappa)
-        sigma2 = gamma * np.sum((y - xb) ** 2) / (n * (1 - kappa))
-        terms = (xb @ xb / n, (1 - kappa) * sigma2)
-    elif kind in ("logit-mle", "pois-mle"):
-        if kind == "logit-mle":
-            mean, weights = expit(xb), expit(xb) * (1 - expit(xb))
-            y = (gen.random(n) < mean).astype(float)
-        else:
-            mean = weights = np.exp(xb)
-            y = gen.poisson(mean).astype(float)
-        adj = pilot_adjustments(b, x, y, kind)
-        v = dense_v(x, weights, 0.0)
-        gamma = kappa / v
-        sigma2 = kappa * np.sum((y - mean) ** 2) / (n * v ** 2)
-        terms = (xb @ xb / n, (1 - kappa) * sigma2)
-    else:
+    if kind == "censored":
         y = np.exp(0.5 * xb) + gen.standard_normal(n)
-        z = np.clip(xb, -0.5, 0.5)
-        v = dense_v(x, 0.5 * np.exp(0.5 * z), 0.0)
+        z, lam = np.clip(xb, -0.5, 0.5), 0.0
+        mean, weights = np.exp(0.5 * z), 0.5 * np.exp(0.5 * z)
         link = LinkFunction(
             "exp(t/2)",
             lambda t: np.exp(0.5 * t),
@@ -308,15 +296,79 @@ def test_observable_adjustments_match_written_out_formulas(kind, n, kappa, lam, 
         )
         refit = adjust_inferential(x, y, b, link, window=(-0.5, 0.5))
         assert refit == (adj.mu, adj.sigma2)
-        gamma = kappa / v
-        sigma2 = kappa * np.sum((y - np.exp(0.5 * z)) ** 2) / (n * v ** 2)
-        terms = (z @ z / n, (1 - kappa) * sigma2)
+    else:
+        if kind == "logit-mle":
+            y = (gen.random(n) < expit(xb)).astype(float)
+        elif kind == "pois-mle":
+            y = gen.poisson(np.exp(xb)).astype(float)
+        else:
+            y = xb + gen.standard_normal(n)
+        fit = fit_or_reject(x, y, kind, lam)
+        adj, b, z = fit.adjustments, fit.beta, x @ fit.beta
+        if kind == "logit-mle":
+            mean = expit(z)
+            weights = mean * (1 - mean)
+        elif kind == "pois-mle":
+            mean = weights = np.exp(z)
+        else:
+            mean, weights = z, np.ones(n)
+        lam = lam if kind == "ridge" else 0.0
+    v = dense_v(x, weights, lam)  # 1 - kappa for ls
+    sigma2 = kappa * np.sum((y - mean) ** 2) / (n * (v + lam) ** 2)
+    terms = (b @ b, sigma2) if lam > 0 else (z @ z / n, (1 - kappa) * sigma2)
     assert adj.kappa == kappa
     assert adj.v == pytest.approx(v, rel=1e-10)
-    assert adj.gamma == pytest.approx(gamma, rel=1e-10)
+    assert adj.gamma == pytest.approx(kappa / (v + lam), rel=1e-10)
     assert adj.sigma2 == pytest.approx(sigma2, rel=1e-10)
     # mu^2 is |difference of the two terms|, which may cancel.
     assert abs(adj.mu ** 2 - abs(terms[0] - terms[1])) <= 1e-10 * sum(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(PILOT_KINDS),
+    wide=st.booleans(),
+    n=st.integers(20, 40),
+    kappa=st.floats(0.1, 0.6),
+    lam=st.floats(0.05, 2.0),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_pilot_is_rotation_equivariant(kind, wide, n, kappa, lam, seed):
+    # X -> XQ with Q orthogonal gives b -> Q'b and leaves the adjustments
+    # unchanged; the ridge pilot is drawn with p > n as well.  The ridge and
+    # least-squares pilots solve exactly.  The MLE pilots stop at a gradient
+    # tolerance, so their gap may add the Newton step left at each fit.
+    gen = np.random.default_rng(seed)
+    p = n + int(kappa * n) if wide and kind == "ridge" else max(1, int(kappa * n))
+    x = gen.standard_normal((n, p))
+    t = x @ gen.standard_normal(p) / np.sqrt(p)
+    if kind == "logit-mle":
+        y = (gen.random(n) < expit(t)).astype(float)
+    elif kind == "pois-mle":
+        y = gen.poisson(np.exp(t)).astype(float)
+    else:
+        y = t + gen.standard_normal(n)
+    q = np.linalg.qr(gen.standard_normal((p, p)))[0]
+    fit = fit_or_reject(x, y, kind, lam)
+    rot = fit_or_reject(x @ q, y, kind, lam)
+    b, adj, adj_rot = fit.beta, fit.adjustments, rot.adjustments
+
+    def newton_left(x, b):
+        if kind not in MLE_FAMILY:
+            return 0.0
+        _, mean, weights = PILOT_LINKS[kind].evaluate(x @ b)
+        hessian = x.T @ (weights[:, None] * x)
+        return np.linalg.norm(np.linalg.solve(hessian, x.T @ (mean - y)))
+
+    tol = 1e-8 + 10 * (newton_left(x, b) + newton_left(x @ q, rot.beta)) / np.linalg.norm(b)
+    assert np.linalg.norm(rot.beta - q.T @ b) <= tol * np.linalg.norm(b)
+    assert adj_rot.kappa == adj.kappa
+    for name in ("v", "gamma", "sigma2"):
+        assert getattr(adj_rot, name) == pytest.approx(getattr(adj, name), rel=tol)
+    # mu is the root of a radicand that may cancel; compare the radicands
+    # against the size of their terms.
+    scale = b @ b + np.sum((x @ b) ** 2) / n + adj.sigma2
+    assert abs(adj_rot.mu ** 2 - adj.mu ** 2) <= tol * scale
 
 
 def counting(link, calls):
@@ -345,9 +397,11 @@ def test_adjustments_evaluate_the_link_once(monkeypatch):
     beta = 0.3 * rng.normal(size=6)
     y = (rng.random(120) < expit(x @ beta)).astype(float)
     calls = []
-    plain = pilot_adjustments(beta, x, y, "logit-mle")
-    monkeypatch.setitem(GLM_LINKS, "logistic", counting(LOGISTIC_LINK, calls))
-    assert pilot_adjustments(beta, x, y, "logit-mle") == plain
+    plain = fit_pilot(x, y, "logit-mle")
+    monkeypatch.setitem(PILOT_LINKS, "logit-mle", counting(LOGISTIC_LINK, calls))
+    counted = fit_pilot(x, y, "logit-mle")
+    assert np.array_equal(counted.beta, plain.beta)
+    assert counted.adjustments == plain.adjustments
     assert sorted(calls) == ["G", "g", "g'"]
     for lam, window in ((0.2, None), (0.0, (-0.5, 0.5))):
         calls.clear()
