@@ -57,7 +57,6 @@ from .models import (
     sample_coefficients,
     sample_design,
 )
-from .monotonize import GridFunction, monotonize_naive, rearrange
 from .pilot import (
     Adjustments,
     PilotFit,

@@ -1,4 +1,5 @@
-"""Deconvolution kernel regression on a grid and monotone link assembly.
+"""The link estimate: deconvolution kernel regression on a grid, made
+monotone, with a floored derivative.
 
 The index estimates carry Gaussian noise of scale varsigma, so the link is
 recovered by Nadaraya-Watson smoothing with a deconvolution kernel whose
@@ -20,10 +21,14 @@ symmetric about each panel's midpoint m, so the nodes m -+ d pair up and
 their data sums follow from the waves of m and of the offsets d alone;
 panels of equal length share the offsets.  The data-side trig work is one
 wave per panel and one per pair of nodes, not one per node.
+
+A running maximum or the rearrangement, which sorts the values of an
+equispaced grid (Chernozhukov, Fernandez-Val and Galichon, 2009), makes the
+grid values monotone.
 """
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -34,7 +39,6 @@ from .errors import (
     EmptyEstimateError,
     KernelOverflowError,
 )
-from .monotonize import GridFunction, get_monotonizer
 
 _MAX_EXPONENT = 700.0  # exp overflow guard for the kernel integrand
 _DENOM_TOL = 1e-8  # grid points with |kernel mass| below this * n are masked
@@ -42,6 +46,9 @@ _DENOM_TOL = 1e-8  # grid points with |kernel mass| below this * n are masked
 # (O(n^2) memory) and the nodes x n arrays of the grid sums; the 1e-11 rule
 # holds up to omega * panel length of about 1600.
 _MAX_PANEL_NODES = 512
+
+#: Monotonizers of the filled grid values, by their config name.
+MONOTONIZERS = {"naive": np.maximum.accumulate, "rearrange": np.sort}
 
 
 @dataclass(frozen=True)
@@ -122,15 +129,21 @@ class DeconvConfig:
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or len(grid) < 2 or not np.all(np.diff(grid) > 0):
-            raise ConfigError("grid must be strictly increasing with >= 2 points")
+        # Equispaced, as the rearrangement assumes and as to_dict writes it.
+        ok = grid.ndim == 1 and len(grid) >= 2 and grid[0] < grid[-1]
+        if not (ok and np.array_equal(grid, default_grid(grid[0], grid[-1], len(grid)))):
+            raise ConfigError("grid must be default_grid(a, b, points), a < b, points >= 2")
         if self.deriv_floor <= 0:
             raise ConfigError("derivative floor must be positive")
         if self.bandwidth_mode not in ("fixed", "theory"):
             raise ConfigError("bandwidth mode must be 'fixed' or 'theory'")
         if self.bandwidth_mode == "fixed" and (self.h is None or self.h <= 0):
             raise ConfigError("fixed bandwidth mode needs h > 0")
-        get_monotonizer(self.monotonizer)
+        if self.monotonizer not in MONOTONIZERS:
+            raise ConfigError(
+                f"unknown monotonizer {self.monotonizer!r}; "
+                f"choose from {sorted(MONOTONIZERS)}"
+            )
         object.__setattr__(self, "grid", grid)
 
     @property
@@ -152,16 +165,10 @@ class LinkEstimate:
 
     @functools.cached_property
     def _pieces(self):
-        """Slopes indexed by searchsorted(grid, x, "right"): the floored
-        left end slope, the cell slopes, the floored right end slope; the
-        same slopes floored; and the antiderivative at the nodes."""
-        slopes = np.diff(self.values) / np.diff(self.grid)
-        lo = max(slopes[0], self.deriv_floor)
-        hi = max(slopes[-1], self.deriv_floor)
-        slopes = np.concatenate(([lo], slopes, [hi]))
+        """The slopes of `_floored_slopes` and the antiderivative at the
+        nodes."""
         return (
-            slopes,
-            np.maximum(slopes, self.deriv_floor),
+            *_floored_slopes(self.grid, self.values, self.deriv_floor),
             build_antiderivative(self.grid, self.values),
         )
 
@@ -182,6 +189,16 @@ class LinkEstimate:
             base + slope * dx,
             floored[pos],
         )
+
+
+def _floored_slopes(grid: np.ndarray, values: np.ndarray, floor: float):
+    """Slopes indexed by searchsorted(grid, x, "right"): the floored left end
+    slope, the cell slopes, the floored right end slope; and the same slopes
+    floored, which are the derivative everywhere (at a node, that of the cell
+    to its right)."""
+    slopes = np.diff(values) / np.diff(grid)
+    slopes = np.concatenate(([max(slopes[0], floor)], slopes, [max(slopes[-1], floor)]))
+    return slopes, np.maximum(slopes, floor)
 
 
 def build_antiderivative(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -322,13 +339,13 @@ def nw_deconv_grid(
     y: np.ndarray,
     h: float,
     config: DeconvConfig,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Raw deconvolution regression values on the grid plus a validity mask.
+) -> np.ndarray:
+    """Raw deconvolution regression values on the grid.
 
     Each grid point x carries the ratio
         sum_i y_i K((x - W_i)/h) / sum_i K((x - W_i)/h);
     points whose denominator is below _DENOM_TOL * n in absolute value are
-    masked invalid (NaN in the returned values).
+    masked: their value is NaN.
 
     The kernel is the quadrature sum of `_kernel_coefficients`, so both
     sums are inner products over nodes t_k of per-node data sums, such as
@@ -389,13 +406,11 @@ def nw_deconv_grid(
         raise EmptyEstimateError("every grid point has negligible kernel mass")
     raw = np.full(len(grid), np.nan)
     raw[valid] = num[valid] / den[valid]
-    return raw, valid
+    return raw
 
 
 def _fill_nearest(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Replace invalid entries by the nearest valid entry (ties go left)."""
-    if np.all(valid):
-        return values.copy()
     idx = np.arange(len(values))
     valid_idx = idx[valid]
     pos = np.searchsorted(valid_idx, idx)
@@ -409,7 +424,8 @@ def estimate_link(
     index: IndexEstimate, y: np.ndarray, config: DeconvConfig
 ) -> LinkEstimate:
     """Full link estimate: bandwidth, deconvolution grid, fill, monotonize,
-    and the floored cell-slope derivative that eval_link reports."""
+    and the floored cell-slope derivative that LinkEstimate.evaluate
+    reports at the grid nodes."""
     h = select_bandwidth(
         len(index.w),
         float(np.sqrt(index.varsigma2)),
@@ -417,31 +433,30 @@ def estimate_link(
         config.h,
         config.c_h,
     )
-    raw, valid = nw_deconv_grid(index, y, h, config)
+    raw = nw_deconv_grid(index, y, h, config)
     # The deconvolution kernel takes negative values, so a near-cancelling
     # denominator can pass the mass check yet yield a conditional-mean value
     # far outside any plausible response hull; such points are as invalid as
-    # masked ones.  The wide margin leaves edge fluctuation alone and only
-    # rejects outliers that would wreck the grid function.
+    # masked ones (NaN fails both comparisons).  The wide margin leaves edge
+    # fluctuation alone and only rejects outliers that would wreck the grid
+    # function.
     spread = float(np.max(y) - np.min(y))
     lo = float(np.min(y)) - 5.0 * spread
     hi = float(np.max(y)) + 5.0 * spread
-    with np.errstate(invalid="ignore"):
-        in_range = valid & (raw >= lo) & (raw <= hi)
+    in_range = (raw >= lo) & (raw <= hi)
     if not np.any(in_range):
         raise EmptyEstimateError("no grid point carries a usable estimate")
-    filled = _fill_nearest(raw, in_range)
-    mono = get_monotonizer(config.monotonizer)(GridFunction(config.grid, filled)).vs
-    link = LinkEstimate(
+    values = MONOTONIZERS[config.monotonizer](_fill_nearest(raw, in_range))
+    _, floored = _floored_slopes(config.grid, values, config.deriv_floor)
+    return LinkEstimate(
         grid=config.grid,
-        values=mono,
-        deriv=mono,  # replaced below by the derivative the fit uses
+        values=values,
+        deriv=floored[1:],
         varsigma2=index.varsigma2,
         h=h,
         window=config.window,
         deriv_floor=config.deriv_floor,
     )
-    return replace(link, deriv=eval_link(link, link.grid)[1])
 
 
 def eval_link(est: LinkEstimate, x):

@@ -199,9 +199,12 @@ def joint_transform(sigma: np.ndarray, coords: Sequence[int]) -> np.ndarray:
     normal.
     """
     sigma = np.asarray(sigma, dtype=float)
-    coords = np.asarray(coords, dtype=int)
-    if coords.ndim != 1 or len(coords) == 0:
-        raise ConfigError("need a nonempty coordinate set")
+    coords = np.asarray(coords)
+    if coords.ndim != 1 or coords.dtype.kind not in "iu" or len(coords) == 0:
+        raise ConfigError(f"need a nonempty list of integer coordinates, not {coords}")
+    p = len(sigma)
+    if len(np.unique(coords)) < len(coords) or coords.min() < 0 or coords.max() >= p:
+        raise ConfigError(f"coordinates must be distinct and lie in [0, {p}), not {coords}")
     try:
         theta = np.linalg.inv(sigma)
     except np.linalg.LinAlgError as err:

@@ -195,6 +195,17 @@ def test_joint_transform_whitens_precision_block():
     assert np.allclose(m @ block @ m.T, np.eye(3), atol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "coords", [[-1], [1, 1], [7], [1.5], [], [[1, 2]]],
+    ids=["negative", "repeated", "past-p", "non-integer", "empty", "2-d"],
+)
+def test_joint_transform_rejects_bad_coordinates(coords):
+    # A negative index would wrap, a repeat makes the block singular, one
+    # past p would raise a bare IndexError, and 1.5 would be cut to 1.
+    with pytest.raises(ConfigError, match="coordinates"):
+        joint_transform(np.eye(4) + 0.1, coords)
+
+
 def test_report_serialization():
     beta_hat = rng.normal(size=4)
     report = marginal_inference(beta_hat, 1.5, 0.6, np.ones(4), alpha=0.05)

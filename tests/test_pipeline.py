@@ -229,6 +229,18 @@ def test_configs_check_seed_and_alpha_when_built():
         assert PipelineConfig.from_dict(config.to_dict()).to_dict() == config.to_dict()
 
 
+def test_report_names_the_grid_the_fit_used():
+    # to_dict writes a grid as (a, b, points); one that linspace would not
+    # rebuild bit for bit is refused rather than misreported.
+    for grid in ([-3.0, 0.0, 1.0, 3.0], np.linspace(-3.0, 3.0, 301) + 1e-12):
+        with pytest.raises(ConfigError, match="default_grid"):
+            DeconvConfig(grid=np.array(grid))
+    for a, b, points in ((-3, 3, 301), (-1.5, 1.5, 21), (-60.0, 60.0, 3), (0.1, 0.7, 7)):
+        config = PipelineConfig(deconv=DeconvConfig(grid=np.linspace(a, b, points)))
+        echo = PipelineConfig.from_dict(config.to_dict())
+        assert np.array_equal(echo.deconv.grid, config.deconv.grid)
+
+
 @pytest.mark.parametrize(
     "module",
     sorted(

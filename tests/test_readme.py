@@ -1,5 +1,6 @@
 """The README's code examples run against the current API."""
 
+import importlib
 import json
 import pathlib
 import re
@@ -24,3 +25,14 @@ def test_readme_config_example_parses():
     echo = PipelineConfig.from_dict(doc).to_dict()
     for key in ("pilot", "penalty", "inference", "split"):
         assert echo[key] == doc[key]
+
+
+def test_readme_module_paths_resolve():
+    # Every `sindex.<module>[.<name>]` the README names can be imported.
+    paths = sorted(set(re.findall(r"`(sindex(?:\.\w+)+)`", README)))
+    assert "sindex.deconv" in paths
+    for path in paths:
+        module, _, name = path.partition(".")[2].partition(".")
+        target = importlib.import_module(f"sindex.{module}")
+        for attr in filter(None, name.split(".")):
+            target = getattr(target, attr)
