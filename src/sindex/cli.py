@@ -16,7 +16,7 @@ from .errors import ConfigError, DataError, PipelineError, SindexError
 from .experiments import ExperimentSpec, _simulate, _write_outputs, run_experiment
 from .models import Dataset
 from .pilot import PILOT_KINDS
-from .pipeline import PipelineConfig, config_section, run_pipeline
+from .pipeline import PipelineConfig, check_seed, config_section, run_pipeline
 
 
 def ingest_csv(path, response: str) -> Dataset:
@@ -126,6 +126,7 @@ def _load_config(args) -> PipelineConfig:
 
 
 def _cmd_simulate(args) -> int:
+    check_seed(args.seed)
     x, y, beta, _ = _simulate(
         args.model, args.n, args.p, args.beta_scheme, np.random.SeedSequence(args.seed)
     )

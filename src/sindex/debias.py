@@ -20,7 +20,7 @@ def debias_index(x: np.ndarray, y: np.ndarray, fit: PilotFit) -> IndexEstimate:
     if adj.mu <= 0:
         raise DegenerateError("pilot adjustment mu is zero; index is undefined")
     xb = x @ fit.beta
-    w = (xb - adj.gamma * (y - PILOT_LINKS[fit.kind].value(xb))) / adj.mu
+    w = (xb - adj.gamma * (y - PILOT_LINKS[fit.kind](xb))) / adj.mu
     return IndexEstimate(w=w, varsigma2=adj.sigma2 / adj.mu ** 2)
 
 

@@ -40,7 +40,7 @@ from .models import (
     sample_design,
 )
 from .pilot import fit_pilot, least_squares_fit
-from .pipeline import PipelineConfig, SplitConfig, _fill, run_pipeline
+from .pipeline import PipelineConfig, SplitConfig, _fill, check_seed, run_pipeline
 
 #: Replications per experiment: (desk scale, paper scale).
 REPS = {
@@ -82,6 +82,9 @@ class ExperimentSpec:
             )
         if self.reps is not None and self.reps < 1:
             raise ConfigError("replications must be >= 1")
+        if self.jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, not {self.jobs}")
+        check_seed(self.seed)
         if self.name == "custom" and self.models:
             raise ConfigError("custom experiments take their model from the config document")
         if self.name in ("figure2", "figure3") and len(self.models or ()) > 1:

@@ -6,7 +6,7 @@ shift).  Designs are Gaussian with a caller-supplied SPD covariance.
 """
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Tuple
 
 import numpy as np
 from scipy.special import exp1, expit
@@ -88,20 +88,15 @@ class DesignSpec:
 
 @dataclass(frozen=True)
 class LinkFunction:
-    """Monotone link: the map itself, its derivative, and a closed-form
-    antiderivative for use in the surrogate loss."""
+    """Monotone working link: evaluate(t) gives (G, g, g') at t, where G is
+    a closed-form antiderivative of g for the surrogate loss.  The three
+    arrays may alias each other and t, so no caller may write into them."""
 
     label: str
-    value: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
-    antideriv: Callable[[np.ndarray], np.ndarray]
+    evaluate: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def __call__(self, t):
-        return self.value(t)
-
-    def evaluate(self, t):
-        """Antiderivative, value and derivative at t: (G, g, g')."""
-        return self.antideriv(t), self.value(t), self.deriv(t)
+        return self.evaluate(t)[1]
 
 
 @dataclass(frozen=True)
@@ -116,107 +111,61 @@ class SimModel:
 
 
 def _cloglog(t):
-    return -np.expm1(-np.exp(np.asarray(t, dtype=float)))
-
-
-def _cloglog_deriv(t):
+    # Antiderivative of 1 - exp(-exp(t)) is t + E1(exp(t)); outside
+    # [-30, 700], where exp1 under- or overflows, G takes its limits
+    # -EULER_GAMMA and t.
     t = np.asarray(t, dtype=float)
-    return np.exp(t - np.exp(t))
-
-
-def _cloglog_antideriv(t):
-    # Antiderivative of 1 - exp(-exp(t)) is t + E1(exp(t)); the branch keeps
-    # exp1 away from under/overflow (limits -EULER_GAMMA and t).
-    t = np.asarray(t, dtype=float)
-    clipped = np.clip(t, -30.0, 700.0)
-    out = clipped + exp1(np.exp(clipped))
-    return np.where(t < -30.0, -_EULER_GAMMA, np.where(t > 700.0, t, out))
+    e = np.exp(t)
+    big_g = np.where(t < -30.0, -_EULER_GAMMA, np.where(t > 700.0, t, t + exp1(e)))
+    return big_g, -np.expm1(-e), np.exp(t - e)
 
 
 def _xsqrt(t):
     t = np.asarray(t, dtype=float)
-    return t + np.hypot(t, 1.0)
-
-
-def _xsqrt_deriv(t):
-    t = np.asarray(t, dtype=float)
-    return 1.0 + t / np.hypot(t, 1.0)
-
-
-def _xsqrt_antideriv(t):
-    t = np.asarray(t, dtype=float)
     root = np.hypot(t, 1.0)
-    return 0.5 * t * t + 0.5 * (t * root + np.arcsinh(t))
+    big_g = 0.5 * t * t + 0.5 * (t * root + np.arcsinh(t))
+    return big_g, t + root, 1.0 + t / root
 
 
 def _cubic(t):
     t = np.asarray(t, dtype=float)
-    return t ** 3 / 3.0
-
-
-def _cubic_deriv(t):
-    t = np.asarray(t, dtype=float)
-    return t ** 2
-
-
-def _cubic_antideriv(t):
-    t = np.asarray(t, dtype=float)
-    return t ** 4 / 12.0
+    return t ** 4 / 12.0, t ** 3 / 3.0, t ** 2
 
 
 def _piecewise(t):
     t = np.asarray(t, dtype=float)
-    return np.where(
-        t <= -1.0,
-        0.2 * t - 2.3,
-        np.where(t >= 1.0, 0.2 * t + 2.3, 2.5 * t),
+    lower, upper = t <= -1.0, t >= 1.0
+    side = 1.25 + 0.1 * (t * t - 1.0)
+    big_g = np.where(
+        lower, side - 2.3 * (t + 1.0), np.where(upper, side + 2.3 * (t - 1.0), 1.25 * t * t)
     )
+    g = np.where(lower, 0.2 * t - 2.3, np.where(upper, 0.2 * t + 2.3, 2.5 * t))
+    return big_g, g, np.where(np.abs(t) < 1.0, 2.5, 0.2)
 
 
-def _piecewise_deriv(t):
+def _logistic(t):
     t = np.asarray(t, dtype=float)
-    return np.where(np.abs(t) < 1.0, 2.5, 0.2)
+    e = expit(t)
+    return np.logaddexp(0.0, t), e, e * (1.0 - e)
 
 
-def _piecewise_antideriv(t):
-    t = np.asarray(t, dtype=float)
-    inner = 1.25 * t * t
-    upper = 1.25 + 0.1 * (t * t - 1.0) + 2.3 * (t - 1.0)
-    lower = 1.25 + 0.1 * (t * t - 1.0) - 2.3 * (t + 1.0)
-    return np.where(t <= -1.0, lower, np.where(t >= 1.0, upper, inner))
-
-
-def _logistic_deriv(t):
-    e = expit(np.asarray(t, dtype=float))
-    return e * (1.0 - e)
-
-
-def _softplus(t):
-    return np.logaddexp(0.0, np.asarray(t, dtype=float))
+def _exp(t):
+    e = np.exp(t)
+    return e, e, e
 
 
 def _identity(t):
-    return np.asarray(t, dtype=float)
-
-
-def _ones_like(t):
-    return np.ones_like(np.asarray(t, dtype=float))
-
-
-def _half_square(t):
     t = np.asarray(t, dtype=float)
-    return 0.5 * t * t
+    return 0.5 * t * t, t, np.ones_like(t)
 
 
-CLOGLOG_LINK = LinkFunction("cloglog", _cloglog, _cloglog_deriv, _cloglog_antideriv)
-XSQRT_LINK = LinkFunction("xsqrt", _xsqrt, _xsqrt_deriv, _xsqrt_antideriv)
-CUBIC_LINK = LinkFunction("cubic", _cubic, _cubic_deriv, _cubic_antideriv)
-PIECEWISE_LINK = LinkFunction(
-    "piecewise", _piecewise, _piecewise_deriv, _piecewise_antideriv
-)
-LOGISTIC_LINK = LinkFunction("logistic", expit, _logistic_deriv, _softplus)
-EXP_LINK = LinkFunction("exp", np.exp, np.exp, np.exp)
-IDENTITY_LINK = LinkFunction("identity", _identity, _ones_like, _half_square)
+CLOGLOG_LINK = LinkFunction("cloglog", _cloglog)
+XSQRT_LINK = LinkFunction("xsqrt", _xsqrt)
+CUBIC_LINK = LinkFunction("cubic", _cubic)
+PIECEWISE_LINK = LinkFunction("piecewise", _piecewise)
+LOGISTIC_LINK = LinkFunction("logistic", _logistic)
+EXP_LINK = LinkFunction("exp", _exp)
+IDENTITY_LINK = LinkFunction("identity", _identity)
 
 
 MODELS = {
@@ -232,11 +181,7 @@ MODELS = {
         "cubic+", CUBIC_LINK, "gaussian", noise_sd=np.sqrt(0.5), noise_mean=5.0
     ),
     "piecewise+": SimModel(
-        "piecewise+",
-        PIECEWISE_LINK,
-        "gaussian",
-        noise_sd=np.sqrt(0.2),
-        noise_mean=5.0,
+        "piecewise+", PIECEWISE_LINK, "gaussian", noise_sd=np.sqrt(0.2), noise_mean=5.0
     ),
 }
 

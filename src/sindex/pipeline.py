@@ -22,6 +22,12 @@ from .pilot import PilotFit, fit_pilot
 from .surrogate import CoefFit, fit_coefficients
 
 
+def check_seed(seed, name: str = "seed") -> None:
+    """A ConfigError naming the seed unless it is an integer >= 0."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"{name} must be an integer >= 0, not {seed!r}")
+
+
 @dataclass(frozen=True)
 class SplitConfig:
     """Disjoint split of [n]; no_split reuses every observation twice."""
@@ -33,10 +39,7 @@ class SplitConfig:
     def __post_init__(self):
         if not 0.0 < self.fraction < 1.0:
             raise ConfigError("split fraction must lie in (0, 1)")
-        seed = self.seed
-        integral = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
-        if not integral or seed < 0:
-            raise ConfigError(f"split seed must be an integer >= 0, not {seed!r}")
+        check_seed(self.seed, "split seed")
 
 
 def split_data(n: int, cfg: SplitConfig) -> Tuple[np.ndarray, np.ndarray]:

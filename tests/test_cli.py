@@ -251,6 +251,32 @@ def test_cli_config_error_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--model", "cloglog", "--n", "20", "--p", "3"],
+        ["experiment", "--name", "figure1", "--reps", "1"],
+        ["experiment", "--name", "figure2", "--reps", "1"],
+    ],
+)
+def test_cli_rejects_a_negative_seed(tmp_path, capsys, argv):
+    # SeedSequence rejects a negative entropy with a ValueError; the command
+    # reports the seed as a configuration error before it draws anything.
+    out = tmp_path / "x"
+    assert main([*argv, "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be an integer >= 0, not -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    out = tmp_path / "x"
+    argv = ["experiment", "--name", "figure1", "--reps", "1", "--jobs", jobs]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"jobs must be >= 1, not {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "name, models",
     [("figure2", ["cubic", "piecewise"]), ("figure3", ["cubic", "piecewise"]), ("custom", ["cubic"])],
 )

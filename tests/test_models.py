@@ -5,6 +5,13 @@ import pytest
 
 from sindex.errors import ConfigError, GenerationError, InvalidDesignError
 from sindex.models import (
+    CLOGLOG_LINK,
+    CUBIC_LINK,
+    EXP_LINK,
+    IDENTITY_LINK,
+    LOGISTIC_LINK,
+    PIECEWISE_LINK,
+    XSQRT_LINK,
     Dataset,
     DesignSpec,
     MODELS,
@@ -14,7 +21,19 @@ from sindex.models import (
     sample_design,
 )
 
-VARIANTS = sorted(MODELS)
+#: The seven built-in links, each keyed by the model that draws data through
+#: it (cubic+ and piecewise+ share the cubic and piecewise links), and the
+#: identity by its own label: it is the working link of the quadratic-loss
+#: pilots and of no model.
+LINKS = {
+    "cloglog": CLOGLOG_LINK,
+    "cubic": CUBIC_LINK,
+    "logit": LOGISTIC_LINK,
+    "piecewise": PIECEWISE_LINK,
+    "poisson": EXP_LINK,
+    "xsqrt": XSQRT_LINK,
+    "identity": IDENTITY_LINK,
+}
 
 
 def test_registry_values_at_zero():
@@ -29,35 +48,45 @@ def test_unknown_variant_raises():
         model_lookup("probit").link
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_link_derivative_matches_finite_differences(variant):
+@pytest.mark.parametrize("name", LINKS)
+def test_link_derivative_matches_finite_differences(name):
     # relative to the derivative's scale on the window; a pointwise ratio
     # would only measure float cancellation where g' underflows
-    link = model_lookup(variant).link
+    link = LINKS[name]
     xs = np.linspace(-3, 3, 601)
     # keep clear of the piecewise kink points where the derivative jumps
-    if variant.startswith("piecewise"):
+    if link is PIECEWISE_LINK:
         xs = xs[np.abs(np.abs(xs) - 1.0) > 1e-2]
     eps = 1e-6
     fd = (link(xs + eps) - link(xs - eps)) / (2 * eps)
-    err = np.max(np.abs(fd - link.deriv(xs))) / np.max(np.abs(link.deriv(xs)))
+    deriv = link.evaluate(xs)[2]
+    err = np.max(np.abs(fd - deriv)) / np.max(np.abs(deriv))
     assert err < 1e-6
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_link_derivative_positive_on_grid(variant):
-    link = model_lookup(variant).link
+@pytest.mark.parametrize("name", LINKS)
+def test_link_derivative_positive_on_grid(name):
     grid = np.linspace(-3, 3, 1000)
-    assert np.min(link.deriv(grid)) > 0
+    assert np.min(LINKS[name].evaluate(grid)[2]) > 0
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_link_antiderivative_consistent(variant):
-    link = model_lookup(variant).link
+@pytest.mark.parametrize("name", LINKS)
+def test_link_antiderivative_consistent(name):
+    link = LINKS[name]
     xs = np.linspace(-3, 3, 201)
     eps = 1e-5
-    fd = (link.antideriv(xs + eps) - link.antideriv(xs - eps)) / (2 * eps)
+    fd = (link.evaluate(xs + eps)[0] - link.evaluate(xs - eps)[0]) / (2 * eps)
     assert np.max(np.abs(fd - link(xs))) < 1e-6
+
+
+def test_links_cover_every_model():
+    assert {model.link for model in MODELS.values()} | {IDENTITY_LINK} == set(LINKS.values())
+
+
+@pytest.mark.parametrize("name", LINKS)
+def test_link_call_is_the_value_of_evaluate(name):
+    xs = np.random.default_rng(7).standard_normal(500) * 4.0
+    assert np.array_equal(LINKS[name](xs), LINKS[name].evaluate(xs)[1])
 
 
 def test_piecewise_branches_agree_at_kinks():

@@ -24,6 +24,7 @@ from sindex.models import (
     sample_design,
 )
 from sindex.pipeline import PipelineConfig, SplitConfig, run_pipeline, split_data
+from sindex.surrogate import surrogate_objective
 
 
 def make_data(n=400, p=160, model="cloglog", seed=77):
@@ -110,6 +111,58 @@ def test_no_split_fit_invariant_to_row_order(n, p, model, seed):
     assert ia.mu_hat == pytest.approx(ib.mu_hat, rel=1e-8)
     assert ia.sigma2_hat == pytest.approx(ib.sigma2_hat, rel=1e-8)
     assert np.allclose(ia.t_stats, ib.t_stats, rtol=1e-8, atol=1e-8)
+
+
+def newton_step_left(x, y, report, lam):
+    """Norm of the Newton step the refit left at its stop: to first order,
+    the distance from its beta to the exact minimizer."""
+    _, grad, gprime = surrogate_objective(report.coef.beta, x, y, report.link, lam)
+    hessian = x.T @ (gprime[:, None] * x) + lam * len(y) * np.eye(x.shape[1])
+    return np.linalg.norm(np.linalg.solve(hessian, grad))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(20, 40), seed=st.integers(0, 2**32 - 1))
+def test_figure3_fit_is_rotation_equivariant(n, seed):
+    # An isotropic design at figure3's configuration and p / n: X -> XQ with
+    # Q orthogonal maps beta to Q'beta and leaves the index, the link values,
+    # mu and sigma^2 unchanged, to 1e-9 relative up to three measured
+    # allowances (8,398 draws, n = 20-40):
+    # - the refit stops at a gradient tolerance, and the two fits may stop
+    #   one Newton iteration apart (60 draws), so each gap may add the Newton
+    #   step left at each fit;
+    # - mu is the root of a radicand whose terms |beta|^2 and sigma^2 may
+    #   nearly cancel, so its square is compared against their sum;
+    # - the deconvolution amplifies the index's rounding gap (under 2.4e-12)
+    #   as the index noise varsigma^2 grows against the fixed bandwidth:
+    #   the link's gap stayed under 2.5e-10 below varsigma^2 = 1000 and
+    #   reached 3.3e-9 at 6,450, so its tolerance grows as varsigma^2 / 500.
+    data, _, spec = make_data(n=n, p=2 * n, seed=seed)
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((2 * n, 2 * n)))[0]
+    outcomes = []
+    for x in (data.x, data.x @ q):
+        try:
+            report = run_pipeline(Dataset(x, data.y), FIGURE3_CONFIG, design=spec)
+            left = newton_step_left(x, data.y, report, FIGURE3_CONFIG.penalty_lam)
+            outcomes.append((report, left))
+        except PipelineError as err:
+            outcomes.append(err.stage)
+    if any(isinstance(outcome, str) for outcome in outcomes):
+        assert outcomes[0] == outcomes[1]
+        return
+    (a, left_a), (b, left_b) = outcomes
+    scale = np.linalg.norm(a.coef.beta)
+    tol = 1e-9 + 4 * (left_a + left_b) / scale
+    assert np.linalg.norm(b.coef.beta - q.T @ a.coef.beta) <= tol * scale
+    assert np.max(np.abs(b.index.w - a.index.w)) <= 1e-9 * np.max(np.abs(a.index.w))
+    assert b.index.varsigma2 == pytest.approx(a.index.varsigma2, rel=tol)
+    link_tol = tol * max(1.0, a.index.varsigma2 / 500)
+    gap = np.max(np.abs(b.link.values - a.link.values))
+    assert gap <= link_tol * np.max(np.abs(a.link.values))
+    ia, ib = a.inference, b.inference
+    assert ib.sigma2_hat == pytest.approx(ia.sigma2_hat, rel=tol)
+    terms = scale ** 2 + ia.sigma2_hat
+    assert abs(ib.mu_hat ** 2 - ia.mu_hat ** 2) <= tol * terms
 
 
 def test_no_split_matches_manual_full_index():
