@@ -115,6 +115,17 @@ def default_grid(a: float = -3.0, b: float = 3.0, points: int = 301) -> np.ndarr
     return np.linspace(a, b, points)
 
 
+def _check_bandwidth(mode: str, h: Optional[float], c_h: Optional[float]) -> None:
+    """A ConfigError unless the bandwidth rule is "fixed" with h > 0, or
+    "theory" with c_h positive or None (its default)."""
+    if mode not in ("fixed", "theory"):
+        raise ConfigError("bandwidth mode must be 'fixed' or 'theory'")
+    if mode == "fixed" and (h is None or h <= 0):
+        raise ConfigError("fixed bandwidth mode needs h > 0")
+    if mode == "theory" and c_h is not None and c_h <= 0:
+        raise ConfigError("bandwidth constant c_h must be positive")
+
+
 @dataclass(frozen=True)
 class DeconvConfig:
     """Grid, kernel, bandwidth rule, and monotonization choices."""
@@ -135,10 +146,7 @@ class DeconvConfig:
             raise ConfigError("grid must be default_grid(a, b, points), a < b, points >= 2")
         if self.deriv_floor <= 0:
             raise ConfigError("derivative floor must be positive")
-        if self.bandwidth_mode not in ("fixed", "theory"):
-            raise ConfigError("bandwidth mode must be 'fixed' or 'theory'")
-        if self.bandwidth_mode == "fixed" and (self.h is None or self.h <= 0):
-            raise ConfigError("fixed bandwidth mode needs h > 0")
+        _check_bandwidth(self.bandwidth_mode, self.h, self.c_h)
         if self.monotonizer not in MONOTONIZERS:
             raise ConfigError(
                 f"unknown monotonizer {self.monotonizer!r}; "
@@ -311,21 +319,14 @@ def select_bandwidth(
     not supplied it defaults to 0.45 / (M0 varsigma)^2, which meets the
     constraint with margin 0.9 (and to 1.0 in the noiseless case).
     """
+    _check_bandwidth(mode, h, c_h)
     if mode == "fixed":
-        if h is None or h <= 0:
-            raise ConfigError("fixed bandwidth mode needs h > 0")
         return float(h)
-    if mode != "theory":
-        raise ConfigError("bandwidth mode must be 'fixed' or 'theory'")
     if n < 2:
         raise ConfigError("theory bandwidth needs n >= 2")
     if c_h is None:
-        if varsigma > 0:
-            c_h = 0.45 / (M0 * varsigma) ** 2
-        else:
-            c_h = 1.0
-    if c_h <= 0:
-        raise ConfigError("bandwidth constant c_h must be positive")
+        c_h = 0.45 / (M0 * varsigma) ** 2 if varsigma > 0 else 1.0
+        _check_bandwidth(mode, h, c_h)  # 0 when varsigma is infinite
     if 2.0 * M0 ** 2 * varsigma ** 2 * c_h >= 1.0:
         raise BandwidthConstraintError(
             f"2 M0^2 varsigma^2 c_h = "

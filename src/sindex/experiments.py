@@ -1,6 +1,7 @@
 """Monte Carlo experiment harness emitting plot-ready CSV files.
 
-Five named experiments, with desk- and paper-scale replications in REPS:
+Five named experiments (replications in REPS), each a function of its
+ExperimentSpec returning the CSV tables and manifest run_experiment writes:
 
   figure1  pooled index z-scores per model (normality of the debiased index)
   figure2  mean squared link loss on [-3, 3] against the sample size
@@ -51,17 +52,14 @@ REPS = {
     "custom": (100, 100),
 }
 
-#: Pilot assignment per data-generating model, in table1's row order.
-PILOT_FOR_MODEL = {
-    "logit": "logit-mle",
-    "cloglog": "logit-mle",
-    "poisson": "pois-mle",
-    "xsqrt": "pois-mle",
-    "cubic": "ls",
-    "cubic+": "ls",
-    "piecewise": "ls",
-    "piecewise+": "ls",
-}
+#: Pilot of each response family: the MLE of the family's canonical link
+#: for binary and count responses, least squares for Gaussian ones.
+FAMILY_PILOT = {"bernoulli": "logit-mle", "poisson": "pois-mle", "gaussian": "ls"}
+
+
+def _pilot_kind(model_name: str) -> str:
+    """The pilot kind the experiments fit to data of the named model."""
+    return FAMILY_PILOT[model_lookup(model_name).response]
 
 
 @dataclass(frozen=True)
@@ -80,15 +78,21 @@ class ExperimentSpec:
             raise ConfigError(
                 f"unknown experiment {self.name!r}; choose from {tuple(REPS)}"
             )
-        if self.reps is not None and self.reps < 1:
+        if self.reps is None:
+            object.__setattr__(self, "reps", REPS[self.name][self.paper_scale])
+        if self.reps < 1:
             raise ConfigError("replications must be >= 1")
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, not {self.jobs}")
         check_seed(self.seed)
         if self.name == "custom" and self.models:
             raise ConfigError("custom experiments take their model from the config document")
-        if self.name in ("figure2", "figure3") and len(self.models or ()) > 1:
-            raise ConfigError(f"{self.name} runs one model; got {list(self.models)}")
+        models = list(self.models or ())
+        # An unknown name fails here, before any replication.
+        if len({model_lookup(name).name for name in models}) < len(models):
+            raise ConfigError(f"each model may be named once; got {models}")
+        if self.name in ("figure2", "figure3") and len(models) > 1:
+            raise ConfigError(f"{self.name} runs one model; got {models}")
 
 
 def _children(seedseq, count: int) -> List[np.random.SeedSequence]:
@@ -264,20 +268,14 @@ def _figure1_rep(model_name, n, p, pilot_kind, seedseq) -> float:
     return float(index_zscores(est, x, beta, pilot)[0])
 
 
-def figure1(
-    out_dir: str,
-    models: Optional[Sequence[str]] = None,
-    reps: int = REPS["figure1"][0],
-    seed: int = 20240,
-    jobs: int = 1,
-) -> dict:
+def figure1(spec: ExperimentSpec) -> tuple:
     """Pooled first-coordinate z-scores of the index estimator per model."""
-    models = list(models or ("cloglog", "xsqrt", "cubic", "piecewise"))
-    groups = []
-    for model_name in models:
-        n, p = FIGURE1_SHAPES.get(model_name, FIGURE1_DEFAULT_SHAPE)
-        groups.append((seed, (model_name, n, p, PILOT_FOR_MODEL[model_name])))
-    results = _run_groups(_figure1_rep, groups, reps, jobs)
+    models = list(spec.models or ("cloglog", "xsqrt", "cubic", "piecewise"))
+    groups = [
+        (spec.seed, (name, *FIGURE1_SHAPES.get(name, FIGURE1_DEFAULT_SHAPE), _pilot_kind(name)))
+        for name in models
+    ]
+    results = _run_groups(_figure1_rep, groups, spec.reps, spec.jobs)
     rows = []
     summary = {}
     for (_, (model_name, n, p, pilot_kind)), zs in zip(groups, results):
@@ -292,16 +290,11 @@ def figure1(
             "variance": float(np.var(zs)),
         }
     manifest = {
-        "experiment": "figure1",
-        "reps": reps,
-        "seed": seed,
         "models": models,
         "split": "none (index step uses every observation)",
         "summary": summary,
     }
-    tables = {"figure1_zscores.csv": (["model", "rep", "z"], rows)}
-    _write_outputs(out_dir, tables, {"manifest.json": manifest})
-    return manifest
+    return {"figure1_zscores.csv": (["model", "rep", "z"], rows)}, manifest
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +304,9 @@ def figure1(
 
 #: Aspect ratio p / n of every figure2 sample size.
 FIGURE2_RATIO = 0.6
+
+#: figure2's sample sizes: (desk scale, paper scale).
+FIGURE2_NS = ((64, 128, 256, 512), (32, 64, 128, 256, 512, 1024))
 
 
 def _figure2_rep(model_name, n, p, pilot_kind, seedseq) -> float:
@@ -322,46 +318,34 @@ def _figure2_rep(model_name, n, p, pilot_kind, seedseq) -> float:
     return float(np.mean((link.values - truth) ** 2))
 
 
-def figure2(
-    out_dir: str,
-    model: str = "piecewise",
-    ns: Sequence[int] = (64, 128, 256, 512),
-    reps: int = REPS["figure2"][0],
-    seed: int = 20240,
-    jobs: int = 1,
-) -> dict:
+def figure2(spec: ExperimentSpec) -> tuple:
     """Mean squared loss of the link estimate on [-3, 3] against n."""
-    pilot_kind = PILOT_FOR_MODEL[model]
+    model = spec.models[0] if spec.models else "piecewise"
+    ns = FIGURE2_NS[spec.paper_scale]
+    pilot_kind = _pilot_kind(model)
     groups = [
-        (seed + n, (model, n, max(1, int(round(FIGURE2_RATIO * n))), pilot_kind))
+        (spec.seed + n, (model, n, max(1, int(round(FIGURE2_RATIO * n))), pilot_kind))
         for n in ns
     ]
-    results = _run_groups(_figure2_rep, groups, reps, jobs)
+    results = _run_groups(_figure2_rep, groups, spec.reps, spec.jobs)
     rows = []
     mean_losses = {}
     for n, losses in zip(ns, results):
         rows.extend((n, rep, v) for rep, v in enumerate(losses))
-        mean_losses[int(n)] = float(np.mean(losses))
+        mean_losses[n] = float(np.mean(losses))
     manifest = {
-        "experiment": "figure2",
         "model": model,
         "ratio": FIGURE2_RATIO,
-        "ns": [int(n) for n in ns],
-        "reps": reps,
-        "seed": seed,
+        "ns": list(ns),
         "pilot": pilot_kind,
         "split": "none (link step uses every observation)",
         "summary": {"mean_loss": mean_losses},
     }
     tables = {
         "figure2_losses.csv": (["n", "rep", "sq_loss"], rows),
-        "figure2_mean_loss.csv": (
-            ["n", "mean_sq_loss"],
-            list(mean_losses.items()),
-        ),
+        "figure2_mean_loss.csv": (["n", "mean_sq_loss"], list(mean_losses.items())),
     }
-    _write_outputs(out_dir, tables, {"manifest.json": manifest})
-    return manifest
+    return tables, manifest
 
 
 # ---------------------------------------------------------------------------
@@ -416,30 +400,22 @@ def _figure3_rep(model_name, n, p, config, scheme, seedseq) -> tuple:
     return t1, covered, fallback_used
 
 
-def figure3(
-    out_dir: str,
-    model: str = "cloglog",
-    reps: int = REPS["figure3"][0],
-    seed: int = 20240,
-    jobs: int = 1,
-) -> dict:
+def figure3(spec: ExperimentSpec) -> tuple:
     """Pooled T_1 statistics and empirical CI coverage (ridge mode), at
     FIGURE3_SHAPE with FIGURE3_CONFIG."""
+    model = spec.models[0] if spec.models else "cloglog"
     n, p = FIGURE3_SHAPE
     config = FIGURE3_CONFIG
     scheme = "uniform-sphere"
-    group = (seed, (model, n, p, config, scheme))
-    [results] = _run_groups(_figure3_rep, [group], reps, jobs)
+    group = (spec.seed, (model, n, p, config, scheme))
+    [results] = _run_groups(_figure3_rep, [group], spec.reps, spec.jobs)
     t_stats = np.array([r[0] for r in results])
     covered = np.array([r[1] for r in results])
     fallbacks = int(sum(r[2] for r in results))
     manifest = {
-        "experiment": "figure3",
         "model": model,
         "n": n,
         "p": p,
-        "reps": reps,
-        "seed": seed,
         "alpha": config.alpha,
         "pilot": {"kind": config.pilot_kind, "lambda": config.pilot_lam},
         "penalty": {"kind": config.penalty, "lambda": config.penalty_lam},
@@ -455,9 +431,7 @@ def figure3(
         },
     }
     rows = [(rep, t, int(c)) for rep, (t, c, _) in enumerate(results)]
-    tables = {"figure3_tstats.csv": (["rep", "T1", "covered"], rows)}
-    _write_outputs(out_dir, tables, {"manifest.json": manifest})
-    return manifest
+    return {"figure3_tstats.csv": (["rep", "T1", "covered"], rows)}, manifest
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +441,12 @@ def figure3(
 #: (n, p) of table1; the reference does not state them.
 TABLE1_SHAPE = (2000, 50)
 
-#: table1's pipeline, with each model's PILOT_FOR_MODEL pilot in place of
+#: table1's models, in its row order.
+TABLE1_MODELS = (
+    "logit", "cloglog", "poisson", "xsqrt", "cubic", "cubic+", "piecewise", "piecewise+"
+)
+
+#: table1's pipeline, with each model's pilot (FAMILY_PILOT) in place of
 #: pilot_kind.  Flat-top kernel: the efficiency statistic is scale
 #: sensitive, so the link estimate must carry no smoothing attenuation.
 TABLE1_CONFIG = PipelineConfig(
@@ -480,30 +459,23 @@ TABLE1_CONFIG = PipelineConfig(
 )
 
 
-def _table1_rep(model_name, n, p, seedseq) -> dict:
+def _table1_rep(model_name, n, p, pilot_kind, seedseq) -> dict:
     """Effective variance of least squares, of the pipeline's pilot (when
     it is not least squares) and of the refit, in that order."""
     (s_data,) = _children(seedseq, 1)
     x, y, beta, _ = _simulate(model_name, n, p, "uniform-sphere", s_data)
-    pilot_kind = PILOT_FOR_MODEL[model_name]
     report = run_pipeline(Dataset(x, y), replace(TABLE1_CONFIG, pilot_kind=pilot_kind))
     ls = report.pilot.beta if pilot_kind == "ls" else least_squares_fit(x, y)
     fits = {"ls": ls, pilot_kind: report.pilot.beta, "proposed": report.coef.beta}
     return {kind: effective_variance_oracle(b, beta) for kind, b in fits.items()}
 
 
-def table1(
-    out_dir: str,
-    models: Optional[Sequence[str]] = None,
-    reps: int = REPS["table1"][0],
-    seed: int = 20240,
-    jobs: int = 1,
-) -> dict:
+def table1(spec: ExperimentSpec) -> tuple:
     """Mean and sd of the effective-variance statistic per (model, estimator)."""
     n, p = TABLE1_SHAPE
-    models = list(models or PILOT_FOR_MODEL)
-    groups = [(seed, (model_name, n, p)) for model_name in models]
-    results = _run_groups(_table1_rep, groups, reps, jobs)
+    models = list(spec.models or TABLE1_MODELS)
+    groups = [(spec.seed, (name, n, p, _pilot_kind(name))) for name in models]
+    results = _run_groups(_table1_rep, groups, spec.reps, spec.jobs)
     rows = []
     summary = {}
     for model_name, group in zip(models, results):
@@ -514,38 +486,14 @@ def table1(
             rows.append((model_name, kind, mean, sd))
             summary[model_name][kind] = {"mean": mean, "sd": sd}
     manifest = {
-        "experiment": "table1",
         "models": models,
         "n": n,
         "p": p,
-        "reps": reps,
-        "seed": seed,
         "split": "none (every observation reused in both stages)",
         "note": "paper does not state (n, p) for this table; desk-scale values used",
         "summary": summary,
     }
-    tables = {"table1_efficiency.csv": (["model", "estimator", "mean", "sd"], rows)}
-    _write_outputs(out_dir, tables, {"manifest.json": manifest})
-    return manifest
-
-
-def run_experiment(spec: ExperimentSpec) -> dict:
-    """Dispatch a named experiment with desk- or paper-scale replications."""
-    reps = spec.reps or REPS[spec.name][spec.paper_scale]
-    common = dict(reps=reps, seed=spec.seed, jobs=spec.jobs)
-    if spec.name == "custom":
-        return _custom_experiment(spec, reps)
-    if spec.name == "figure1":
-        return figure1(spec.out_dir, models=spec.models, **common)
-    if spec.name == "table1":
-        return table1(spec.out_dir, models=spec.models, **common)
-    if spec.models:
-        common["model"] = spec.models[0]
-    if spec.name == "figure2":
-        if spec.paper_scale:
-            common["ns"] = (32, 64, 128, 256, 512, 1024)
-        return figure2(spec.out_dir, **common)
-    return figure3(spec.out_dir, **common)
+    return {"table1_efficiency.csv": (["model", "estimator", "mean", "sd"], rows)}, manifest
 
 
 def _custom_rep(model_name, n, p, scheme, design, config, seedseq) -> tuple:
@@ -584,8 +532,8 @@ def _custom_design(sigma, p: int) -> DesignSpec:
     return DesignSpec.from_sigma(matrix)
 
 
-def _custom_experiment(spec: ExperimentSpec, reps: int) -> dict:
-    """Replicated pipeline runs from a JSON config document."""
+def custom(spec: ExperimentSpec) -> tuple:
+    """Replicated pipeline runs from the spec's JSON config document."""
     if spec.custom_config is None:
         raise ConfigError("custom experiments need a config document")
     doc = _fill({**CUSTOM_DEFAULTS, **PipelineConfig().to_dict()}, spec.custom_config)
@@ -598,15 +546,12 @@ def _custom_experiment(spec: ExperimentSpec, reps: int) -> dict:
     design = _custom_design(sigma, p)
     config = PipelineConfig.from_dict(doc)
     group = (spec.seed, (model_name, n, p, scheme, design, config))
-    [results] = _run_groups(_custom_rep, [group], reps, spec.jobs)
+    [results] = _run_groups(_custom_rep, [group], spec.reps, spec.jobs)
     eff_vars = [ev for _, _, ev in results]
     manifest = {
-        "experiment": "custom",
         "model": model_name,
         "n": n,
         "p": p,
-        "reps": reps,
-        "seed": spec.seed,
         "config": config.to_dict(),
         "summary": {
             "effective_variance_mean": float(np.mean(eff_vars)),
@@ -615,6 +560,24 @@ def _custom_experiment(spec: ExperimentSpec, reps: int) -> dict:
     }
     header = ["rep", "mu_hat", "sigma2_hat", "effective_variance"]
     rows = [(rep, *map(float, r)) for rep, r in enumerate(results)]
-    tables = {"custom_replications.csv": (header, rows)}
+    return {"custom_replications.csv": (header, rows)}, manifest
+
+
+#: Each experiment by name: a function of the spec returning its CSV tables
+#: {file name: (header, rows)} and its manifest.
+EXPERIMENTS = {
+    "figure1": figure1,
+    "figure2": figure2,
+    "figure3": figure3,
+    "table1": table1,
+    "custom": custom,
+}
+
+
+def run_experiment(spec: ExperimentSpec) -> dict:
+    """Run the experiment the spec names, write its tables and manifest.json
+    to spec.out_dir, and return the manifest."""
+    tables, manifest = EXPERIMENTS[spec.name](spec)
+    manifest = {"experiment": spec.name, "reps": spec.reps, "seed": spec.seed, **manifest}
     _write_outputs(spec.out_dir, tables, {"manifest.json": manifest})
     return manifest

@@ -172,6 +172,15 @@ def observable_adjustments(
     )
 
 
+def check_pilot(kind: str, lam: Optional[float]) -> None:
+    """A ConfigError unless kind is a pilot kind and a ridge pilot's lam is
+    positive or None (which fit_pilot reads as 1)."""
+    if kind not in PILOT_LINKS:
+        raise ConfigError(f"unknown pilot kind {kind!r}; choose from {PILOT_KINDS}")
+    if kind == "ridge" and lam is not None and lam <= 0:
+        raise ConfigError("ridge penalty must be positive")
+
+
 def fit_pilot(
     x: np.ndarray,
     y: np.ndarray,
@@ -189,13 +198,10 @@ def fit_pilot(
       ls:     v = 1 - kappa
       *-mle:  v = n^{-1} tr(D - DX(X'DX)^{-1}X'D) with D = diag(g'(z))
     """
-    if kind not in PILOT_LINKS:
-        raise ConfigError(f"unknown pilot kind {kind!r}; choose from {PILOT_KINDS}")
+    check_pilot(kind, lam)
     n, p = x.shape
     if kind == "ridge":
         lam = 1.0 if lam is None else lam
-        if lam <= 0:
-            raise ConfigError("ridge penalty must be positive")
         beta, v = _ridge_solve(x, y, lam, gram)
     elif kind == "ls":
         lam, beta, v = None, least_squares_fit(x, y), 1.0 - p / n

@@ -18,7 +18,7 @@ from .deconv import DeconvConfig, LinkEstimate, estimate_link
 from .errors import ConfigError, PipelineError, SindexError, SplitError
 from .inference import InferenceReport, adjust_inferential, marginal_inference
 from .models import Dataset, DesignSpec
-from .pilot import PilotFit, fit_pilot
+from .pilot import PilotFit, check_pilot, fit_pilot
 from .surrogate import CoefFit, fit_coefficients
 
 
@@ -125,6 +125,7 @@ class PipelineConfig:
     split: SplitConfig = field(default_factory=SplitConfig)
 
     def __post_init__(self):
+        check_pilot(self.pilot_kind, self.pilot_lam)
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.penalty not in ("none", "ridge"):

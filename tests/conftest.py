@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sindex.deconv import KERNELS, DeconvConfig
-from sindex.experiments import figure1, figure2, figure3, table1
+from sindex.experiments import ExperimentSpec, run_experiment
 from sindex.inference import oracle_params
 from sindex.models import (
     Dataset,
@@ -30,7 +30,8 @@ SEED = 20240
 def fig1_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig1")
     start = time.perf_counter()
-    manifest = figure1(str(out), models=("cubic", "xsqrt"), reps=200, seed=SEED)
+    spec = ExperimentSpec("figure1", str(out), models=("cubic", "xsqrt"), reps=200, seed=SEED)
+    manifest = run_experiment(spec)
     return manifest, time.perf_counter() - start, out
 
 
@@ -38,7 +39,7 @@ def fig1_result(tmp_path_factory):
 def fig2_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig2")
     start = time.perf_counter()
-    manifest = figure2(str(out), reps=50, seed=SEED)
+    manifest = run_experiment(ExperimentSpec("figure2", str(out), reps=50, seed=SEED))
     return manifest, time.perf_counter() - start, out
 
 
@@ -46,7 +47,7 @@ def fig2_result(tmp_path_factory):
 def fig3_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig3")
     start = time.perf_counter()
-    manifest = figure3(str(out), reps=300, seed=SEED)
+    manifest = run_experiment(ExperimentSpec("figure3", str(out), reps=300, seed=SEED))
     return manifest, time.perf_counter() - start, out
 
 
@@ -54,9 +55,10 @@ def fig3_result(tmp_path_factory):
 def table1_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("table1")
     start = time.perf_counter()
-    manifest = table1(
-        str(out), models=("logit", "piecewise", "cubic+"), reps=100, seed=SEED
+    spec = ExperimentSpec(
+        "table1", str(out), models=("logit", "piecewise", "cubic+"), reps=100, seed=SEED
     )
+    manifest = run_experiment(spec)
     return manifest, time.perf_counter() - start, out
 
 

@@ -2,7 +2,6 @@
 
 import ast
 import csv
-import functools
 import glob
 import json
 import os
@@ -18,16 +17,8 @@ import sindex
 from sindex import cli, experiments
 from sindex.cli import _build_parser, _load_config, dataset_to_csv, ingest_csv, main
 from sindex.errors import DataError
-from sindex.experiments import (
-    ExperimentSpec,
-    _simulate,
-    figure1,
-    figure2,
-    figure3,
-    run_experiment,
-    table1,
-)
-from sindex import pilot
+from sindex.experiments import ExperimentSpec, _simulate, run_experiment
+from sindex import pilot, pipeline
 from sindex.inference import effective_variance_oracle
 from sindex.models import Dataset, DesignSpec, sample_coefficients, sample_design
 from sindex.pipeline import PipelineConfig, SplitConfig, run_pipeline
@@ -294,6 +285,61 @@ def test_cli_experiment_rejects_models_it_cannot_run(tmp_path, name, models):
 
 
 @pytest.mark.parametrize(
+    "name, models, message",
+    [
+        ("figure1", ["nope"], "unknown model variant 'nope'"),
+        ("figure2", ["nope"], "unknown model variant 'nope'"),
+        ("figure3", ["nope"], "unknown model variant 'nope'"),
+        ("table1", ["cubic", "nope"], "unknown model variant 'nope'"),
+        ("figure1", ["cubic", "cubic"], "each model may be named once"),
+        ("table1", ["cubic", "cubic"], "each model may be named once"),
+    ],
+)
+def test_cli_experiment_rejects_unknown_or_repeated_models(
+    tmp_path, capsys, monkeypatch, name, models, message
+):
+    # The names are checked before any replication runs.
+    runs = []
+    monkeypatch.setattr(experiments, "_run_groups", lambda *args: runs.append(args))
+    out = tmp_path / "x"
+    argv = ["experiment", "--name", name, "--reps", "1", "--models", *models]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert runs == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"deconv": {"bandwidth": {"c_h": 0.0}}}, "bandwidth constant c_h must be positive"),
+        ({"deconv": {"bandwidth": {"c_h": -2}}}, "bandwidth constant c_h must be positive"),
+        ({"pilot": {"kind": "probit"}}, "unknown pilot kind 'probit'"),
+        ({"pilot": {"kind": "ridge", "lambda": 0.0}}, "ridge penalty must be positive"),
+        ({"pilot": {"lambda": -1}}, "ridge penalty must be positive"),
+    ],
+)
+def test_out_of_range_config_exits_2_before_the_pilot(
+    tmp_path, capsys, monkeypatch, small_data, doc, message
+):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fit_pilot(*args, **kwargs)
+
+    fit_pilot = pipeline.fit_pilot
+    monkeypatch.setattr(pipeline, "fit_pilot", counting)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    rc = main(["fit", "--data", small_data, "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "text, flags",
     [
         ('{"inference": "ridge"}', []),
@@ -478,8 +524,8 @@ def test_cli_flags_override_only_the_keys_they_name(tmp_path):
 
 def test_experiment_outputs_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    figure2(str(out1), ns=(64,), reps=1, seed=99)
-    figure2(str(out2), ns=(64,), reps=1, seed=99)
+    run_experiment(ExperimentSpec("figure2", str(out1), reps=1, seed=99))
+    run_experiment(ExperimentSpec("figure2", str(out2), reps=1, seed=99))
     for name in ("figure2_losses.csv", "figure2_mean_loss.csv", "manifest.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -488,19 +534,17 @@ def test_experiment_outputs_identical_across_jobs(tmp_path):
     custom = {"model": "cloglog", "n": 200, "p": 40, "split": {"fraction": 0.5}}
     runs = {
         # cloglog is 500 x 50 and xsqrt 500 x 200: one pool runs both shapes.
-        "figure1": functools.partial(figure1, models=("cloglog", "xsqrt"), reps=3),
-        "figure2": functools.partial(figure2, ns=(64, 128), reps=4),
-        "table1": functools.partial(table1, models=("logit", "cubic+"), reps=2),
-        "figure3": functools.partial(figure3, reps=2),
-        "custom": lambda out, seed, jobs: run_experiment(
-            ExperimentSpec("custom", out, reps=2, seed=seed, jobs=jobs, custom_config=custom)
-        ),
+        "figure1": dict(models=("cloglog", "xsqrt"), reps=3),
+        "figure2": dict(reps=4),
+        "table1": dict(models=("logit", "cubic+"), reps=2),
+        "figure3": dict(reps=2),
+        "custom": dict(reps=2, custom_config=custom),
     }
-    for name, run in runs.items():
+    for name, kwargs in runs.items():
         outputs = []
         for jobs in (1, 2):
             out = tmp_path / name / f"jobs{jobs}"
-            run(str(out), seed=99, jobs=jobs)
+            run_experiment(ExperimentSpec(name, str(out), seed=99, jobs=jobs, **kwargs))
             outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert outputs[0] == outputs[1], name
 
@@ -516,17 +560,15 @@ def test_each_experiment_runs_one_pool(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
     custom = {"model": "cloglog", "n": 200, "p": 20, "pilot": {"kind": "ls"}}
     runs = {
-        "figure1": functools.partial(figure1, models=("cloglog", "cubic"), reps=2),
-        "figure2": functools.partial(figure2, ns=(64, 128), reps=2),
-        "table1": functools.partial(table1, models=("logit", "cubic"), reps=2),
-        "figure3": functools.partial(figure3, reps=2),
-        "custom": lambda out, jobs: run_experiment(
-            ExperimentSpec("custom", out, reps=2, jobs=jobs, custom_config=custom)
-        ),
+        "figure1": dict(models=("cloglog", "cubic")),
+        "figure2": {},
+        "table1": dict(models=("logit", "cubic")),
+        "figure3": {},
+        "custom": dict(custom_config=custom),
     }
-    for name, run in runs.items():
+    for name, kwargs in runs.items():
         pools.clear()
-        run(str(tmp_path / name), jobs=2)
+        run_experiment(ExperimentSpec(name, str(tmp_path / name), reps=2, jobs=2, **kwargs))
         assert pools == [2], name
 
 
@@ -564,7 +606,7 @@ def test_table1_fits_each_pilot_once(tmp_path, monkeypatch):
 
     fit_coefficients = pilot.fit_coefficients
     monkeypatch.setattr(pilot, "fit_coefficients", counting)
-    table1(str(tmp_path), models=("logit",), reps=2, jobs=1)
+    run_experiment(ExperimentSpec("table1", str(tmp_path), models=("logit",), reps=2))
     assert len(calls) == 2  # one logistic MLE per replication
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import sindex
 from sindex.deconv import KERNELS, DeconvConfig
-from sindex.errors import ConfigError, PipelineError, SplitError
+from sindex.errors import ConfigError, NonConvergenceError, PipelineError, SplitError
 from sindex.experiments import FIGURE3_CONFIG, TABLE1_CONFIG, _map_reps, _simulate
 from sindex.models import (
     Dataset,
@@ -163,6 +163,62 @@ def test_figure3_fit_is_rotation_equivariant(n, seed):
     assert ib.sigma2_hat == pytest.approx(ia.sigma2_hat, rel=tol)
     terms = scale ** 2 + ia.sigma2_hat
     assert abs(ib.mu_hat ** 2 - ia.mu_hat ** 2) <= tol * terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(150, 400),
+    p=st.integers(5, 30),
+    c=st.floats(1.0, 1e4),
+    model=st.sampled_from(["cubic", "piecewise"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_table1_refit_is_scale_equivariant(n, p, c, model, seed):
+    # table1's unregularized refit on an ls pilot: X -> cX maps the pilot
+    # and the refit's beta to beta / c and leaves the index, the link
+    # values, mu and sigma^2 unchanged, to 1e-9 relative.  The refit stops
+    # at an absolute gradient tolerance, so the two fits may stop one Newton
+    # iteration apart (53 of 300 draws in a sweep), and the beta, mu and
+    # sigma^2 gaps may add the Newton step left at each fit.  The worst
+    # gaps were 8.8e-11 (beta), 1.4e-11 (mu), 7.9e-11 (sigma^2) and 6.7e-12
+    # (link).
+    config = replace(TABLE1_CONFIG, pilot_kind="ls")
+    data, _, spec = make_data(n=n, p=p, model=model, seed=seed)
+    outcomes = []
+    for x in (data.x, c * data.x):
+        try:
+            report = run_pipeline(Dataset(x, data.y), config, design=spec)
+            outcomes.append((report, newton_step_left(x, data.y, report, 0.0)))
+        except PipelineError as err:
+            outcomes.append(err)
+    if isinstance(outcomes[0], PipelineError):
+        assert isinstance(outcomes[1], PipelineError)
+        assert outcomes[1].stage == outcomes[0].stage
+        return
+    a, left_a = outcomes[0]
+    if isinstance(outcomes[1], PipelineError):
+        # The known fault of that tolerance (ROADMAP item 8): the scaled
+        # gradient is c times the unscaled one, so near c = 1e4 the refit
+        # must push the unscaled gradient to about 1e-12, below what the
+        # objective resolves, and its line search fails (3 of the 300 draws,
+        # at c of 5.8e3 to 9.8e3).  The unscaled fit met the tolerance.
+        err = outcomes[1]
+        assert (err.stage, type(err.cause)) == ("coef", NonConvergenceError)
+        assert "line search failed" in str(err.cause)
+        assert err.cause.grad_norm / c < 1e-8 and a.coef.grad_norm < 1e-8
+        return
+    b, left_b = outcomes[1]
+    scale = np.linalg.norm(a.coef.beta)
+    tol = 1e-9 + (left_a + c * left_b) / scale
+    assert np.linalg.norm(c * b.coef.beta - a.coef.beta) <= tol * scale
+    pilot_gap = np.linalg.norm(c * b.pilot.beta - a.pilot.beta)
+    assert pilot_gap <= 1e-9 * np.linalg.norm(a.pilot.beta)
+    assert np.max(np.abs(b.index.w - a.index.w)) <= 1e-9 * np.max(np.abs(a.index.w))
+    gap = np.max(np.abs(b.link.values - a.link.values))
+    assert gap <= 1e-9 * np.max(np.abs(a.link.values))
+    ia, ib = a.inference, b.inference
+    assert ib.mu_hat == pytest.approx(ia.mu_hat, rel=tol)
+    assert ib.sigma2_hat == pytest.approx(ia.sigma2_hat, rel=tol)
 
 
 def test_no_split_matches_manual_full_index():
