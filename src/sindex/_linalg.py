@@ -47,10 +47,11 @@ def weighted_gram(x, weights=None, ridge=0.0, dual=False):
 class Gram:
     """Weighted Gram matrices of one design x, for a sequence of weights.
 
-    weighted(weights, ridge, dual) equals weighted_gram(x, weights, ridge,
-    dual) up to rounding, and returns a fresh Fortran-ordered matrix that
-    the caller may factor in place.  factor(weights, ridge, dual) is its
-    cho_factor, kept until the next call of either.
+    weighted(weights, ridge) equals weighted_gram(x, weights, ridge,
+    dual(ridge)) up to rounding: the Gram alone picks the path from the
+    ridge and the shape.  It returns a fresh Fortran-ordered matrix that the
+    caller may factor in place; factor(weights, ridge) is its cho_factor,
+    kept until the next call of either.
     """
 
     def __init__(self, x):
@@ -63,31 +64,35 @@ class Gram:
         self._factor = None
         self._factored = None
 
-    def factor(self, weights, ridge=0.0, dual=False):
-        """cho_factor of weighted(weights, ridge, dual), the kept one when
-        the last factor was of exactly these weights, ridge and path.  The
-        caller must not overwrite it; take_factor hands it over."""
+    def dual(self, ridge):
+        """Whether matrices at this ridge are SS' + ridge I: ridge > 0, p > n."""
+        return ridge > 0.0 and self.x.shape[1] > self.x.shape[0]
+
+    def factor(self, weights, ridge=0.0):
+        """cho_factor of weighted(weights, ridge), the kept one when the
+        last factor was of exactly these weights and ridge.  The caller must
+        not overwrite it; take_factor hands it over."""
         last = self._factored
-        same = last is not None and last[1:] == (ridge, dual)
+        same = last is not None and last[1] == ridge
         if not (same and np.array_equal(last[0], weights)):
-            matrix = self.weighted(weights, ridge, dual)
+            matrix = self.weighted(weights, ridge)
             self._factor = cho_factor(matrix, overwrite_a=True)
-            self._factored = (np.array(weights, dtype=float), ridge, dual)
+            self._factored = (np.array(weights, dtype=float), ridge)
         return self._factor
 
-    def take_factor(self, weights, ridge=0.0, dual=False):
-        """factor(weights, ridge, dual), for the caller to overwrite: the
-        Gram forgets it, and its X'DX too, so that the next call rebuilds."""
-        fac = self.factor(weights, ridge, dual)
+    def take_factor(self, weights, ridge=0.0):
+        """factor(weights, ridge), for the caller to overwrite: the Gram
+        forgets it, and its X'DX too, so that the next call rebuilds."""
+        fac = self.factor(weights, ridge)
         self._factor = self._factored = None
         self._xdx = self._weights = None
         return fac
 
-    def weighted(self, weights=None, ridge=0.0, dual=False):
+    def weighted(self, weights=None, ridge=0.0):
         # The kept factor goes first: it is not of this matrix, and the
         # memory it frees is about the size of the one built here.
         self._factor = self._factored = None
-        if dual:
+        if self.dual(ridge):
             if self._xxt is None:
                 self._xxt = weighted_gram(self.x, dual=True)
             if weights is None:
@@ -155,7 +160,7 @@ def adjustment_trace(
 ) -> float:
     """tr(D - D X (X'DX + ridge I)^{-1} X'D) with D = diag(weights).
 
-    For ridge > 0 and p > n the push-through identity gives
+    On the Gram's n-by-n path the push-through identity gives
     tr = ridge * tr(D (S S' + ridge I)^{-1}) with S = D^{1/2} X.  Otherwise
     tr(B^{-1} C), B = X'DX + ridge I and C = (DX)'(DX) both symmetric, is
     summed over the upper triangle of B^{-1}.  gram, a Gram of x, supplies
@@ -164,17 +169,15 @@ def adjustment_trace(
     it a private one is built.  Raises RankError when the Gram matrix is
     singular.
     """
-    n, p = x.shape
     weights = np.asarray(weights, dtype=float)
-    dual = ridge > 0.0 and p > n
     gram = Gram(x) if gram is None else gram
     try:
-        fac = gram.take_factor(weights, ridge, dual)
+        fac = gram.take_factor(weights, ridge)
     except LinAlgError as err:
         raise RankError(f"weighted Gram matrix is singular: {err}") from err
     inv = cho_inverse(fac)
-    if dual:
+    if gram.dual(ridge):
         return float(ridge * np.sum(weights * np.diag(inv)))
     c = weighted_gram(x, weights * weights)
-    inv[np.tri(p, k=-1, dtype=bool)] = 0.0  # the upper triangle alone
+    inv[np.tri(x.shape[1], k=-1, dtype=bool)] = 0.0  # the upper triangle alone
     return float(np.sum(weights) - 2.0 * np.vdot(inv, c) + np.diag(inv) @ np.diag(c))

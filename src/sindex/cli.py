@@ -35,6 +35,8 @@ def ingest_csv(path, response: str) -> Dataset:
             raise DataError(
                 f"response column {response!r} not found; file has {header}"
             )
+        if header.count(response) > 1:
+            raise DataError(f"response column {response!r} is named more than once")
         y_col = header.index(response)
         # Each row's cells go straight into x and y, which double in place
         # (a realloc) when full, so that no cell is held twice while reading.

@@ -47,11 +47,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class DesignSpec:
-    """Gaussian design: covariance, its Cholesky factor, and the
-    coordinate scales tau_j = (Sigma^{-1})_jj^{-1/2}."""
+    """Gaussian design: the Cholesky factor of its covariance Sigma, and
+    the coordinate scales tau_j = (Sigma^{-1})_jj^{-1/2}."""
 
     p: int
-    sigma: np.ndarray
     chol: np.ndarray
     tau: np.ndarray
 
@@ -59,8 +58,7 @@ class DesignSpec:
     def identity(cls, p: int) -> "DesignSpec":
         if p < 1:
             raise InvalidDesignError("dimension must be >= 1")
-        eye = np.eye(p)
-        return cls(p=p, sigma=eye, chol=eye, tau=np.ones(p))
+        return cls(p=p, chol=np.eye(p), tau=np.ones(p))
 
     @classmethod
     def from_sigma(cls, sigma: np.ndarray) -> "DesignSpec":
@@ -80,7 +78,6 @@ class DesignSpec:
         theta_diag = np.diag(cho_inverse((chol.copy(), True)))
         return cls(
             p=sigma.shape[0],
-            sigma=sigma,
             chol=chol,
             tau=1.0 / np.sqrt(theta_diag),
         )

@@ -62,21 +62,19 @@ class PilotFit:
     adjustments: Adjustments
 
 
-def _ridge_solve(x, y, lam, gram=None):
+def _ridge_solve(x, y, lam, gram):
     """Solve the ridge system (X'X + n lam I) b = X'y, and return
     tr(I - X A^{-1} X') / n from the same factorization.
 
-    Uses the n-by-n dual system when p > n; gram, a Gram of x, supplies
-    the Gram matrix.
+    gram, a Gram of x, supplies the factor: of the n-by-n system on its dual path.
     """
     n, p = x.shape
     c = n * lam
-    dual = p > n
-    gram = Gram(x) if gram is None else gram
     try:
-        fac = cho_factor(gram.weighted(None, c, dual), overwrite_a=True)
+        fac = gram.take_factor(None, c)
     except LinAlgError as err:
         raise SolverError(f"ridge system could not be factorized: {err}") from err
+    dual = gram.dual(c)
     beta = x.T @ cho_solve(fac, y) if dual else cho_solve(fac, x.T @ y)
     tr_inv = np.trace(cho_inverse(fac))
     # tr(I_n - X A^{-1} X') is tr(c G^{-1}) for the dual G = XX' + cI, and
@@ -96,9 +94,9 @@ def least_squares_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise NonIdentifiableError(f"design is rank deficient: {err}") from err
 
 
-def glm_mle_fit(x: np.ndarray, y: np.ndarray, family: str) -> np.ndarray:
+def glm_mle_fit(x: np.ndarray, y: np.ndarray, family: str, gram=None) -> np.ndarray:
     """MLE for logistic or Poisson regression: the surrogate Newton fit with
-    the family's canonical link.
+    the family's canonical link, on gram (a Gram of x) when given.
 
     Raises NonexistenceError when the likelihood has no maximizer: the
     logistic data are separated, or the iterate's norm passes 1e6.
@@ -112,7 +110,7 @@ def glm_mle_fit(x: np.ndarray, y: np.ndarray, family: str) -> np.ndarray:
     if x.shape[0] <= x.shape[1]:
         raise NonIdentifiableError(f"{family} MLE needs n > p")
     try:
-        beta, failure = fit_coefficients(x, y, GLM_LINKS[family]).beta, None
+        beta, failure = fit_coefficients(x, y, GLM_LINKS[family], gram=gram).beta, None
     except NonConvergenceError as err:
         beta, failure = err.beta, err
     if np.linalg.norm(beta) > _DIVERGENCE_NORM:
@@ -192,24 +190,25 @@ def fit_pilot(
 
     The adjustments are observable_adjustments with the kind's working link
     g (PILOT_LINKS) at the indices z = X b, and v from
-      ridge:  the solve's factorization, of the Gram matrix that gram (a
-              Gram of x, built when not given) supplies:
+      ridge:  the solve's factorization:
               v = n^{-1} tr(I - X(X'X + n lam I)^{-1}X')
       ls:     v = 1 - kappa
       *-mle:  v = n^{-1} tr(D - DX(X'DX)^{-1}X'D) with D = diag(g'(z))
+    gram, a Gram of x (built when not given), serves every solve on x.
     """
     check_pilot(kind, lam)
     n, p = x.shape
+    gram = Gram(x) if gram is None else gram
     if kind == "ridge":
         lam = 1.0 if lam is None else lam
         beta, v = _ridge_solve(x, y, lam, gram)
     elif kind == "ls":
         lam, beta, v = None, least_squares_fit(x, y), 1.0 - p / n
     else:
-        lam, beta = None, glm_mle_fit(x, y, MLE_FAMILY[kind])
+        lam, beta = None, glm_mle_fit(x, y, MLE_FAMILY[kind], gram)
     z = x @ beta
     _, fitted, weights = PILOT_LINKS[kind].evaluate(z)
     if kind in MLE_FAMILY:
-        v = adjustment_trace(x, weights, 0.0) / n
+        v = adjustment_trace(x, weights, 0.0, gram) / n
     adj = observable_adjustments(y, beta, z, fitted, v, lam or 0.0)
     return PilotFit(beta=beta, kind=kind, lam=lam, adjustments=adj)

@@ -292,10 +292,10 @@ def run_pipeline(
     no_split = config.split.no_split
     # One half of the split is in memory at a time: the pilot half is copied
     # for the pilot, index and link, and released before the refit half is
-    # copied.  Under no_split both halves are data itself, and one Gram
-    # serves the pilot as well as the refit.
+    # copied.  Each half has one Gram; under no_split both halves are data
+    # itself, and its one Gram serves the pilot as well as the refit.
     x, y = (data.x, data.y) if no_split else (data.x[idx1], data.y[idx1])
-    gram = Gram(x) if no_split else None
+    gram = Gram(x)
     with _stage("pilot"):
         pilot = fit_pilot(x, y, config.pilot_kind, config.pilot_lam, gram)
     with _stage("index"):
@@ -303,7 +303,7 @@ def run_pipeline(
     with _stage("link"):
         link = estimate_link(index, y, config.deconv)
     if not no_split:
-        del x, y
+        del x, y, gram
         x, y = data.x[idx2], data.y[idx2]
         gram = Gram(x)
     # The refit's Gram serves each Newton step, and the inference trace

@@ -76,21 +76,19 @@ def _gradient(x, y, b, g, lam):
     return x.T @ (g - y) + lam * x.shape[0] * b
 
 
-def _newton_direction(x, w, ridge, grad, gram=None):
+def _newton_direction(x, w, ridge, grad, gram):
     """Solve (X'WX + ridge I) d = -grad, through the n-by-n Woodbury system
-    when p > n; gram, a Gram of x, supplies and keeps the factor of the
-    weighted Gram matrix.
+    on the dual path of gram, a Gram of x, which supplies and keeps the
+    factor of the weighted Gram matrix.
 
     A singular Hessian (possible when the link derivative vanishes at the
     current iterate, e.g. a cubic link at the zero start) falls back to a
     diagonally jittered solve (rebuilt, as the factorization overwrites it);
     any positive shift still yields a descent direction for the line search.
     """
-    n, p = x.shape
-    gram = Gram(x) if gram is None else gram
-    dual = ridge > 0.0 and p > n
+    dual = gram.dual(ridge)
     try:
-        fac = gram.factor(w, ridge, dual)
+        fac = gram.factor(w, ridge)
     except LinAlgError as err:
         if dual:
             raise SolverError(f"Newton system is singular: {err}") from err

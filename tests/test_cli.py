@@ -52,6 +52,18 @@ def test_ingest_missing_column(tmp_path):
         ingest_csv(path, "y")
 
 
+def test_ingest_rejects_a_repeated_response_column(tmp_path):
+    # The second column named like the response would otherwise become a
+    # design column; the CLI exits 2 and writes nothing.
+    path = tmp_path / "d.csv"
+    write(path, "y,a,y\n1,2,3\n4,5,6\n")
+    with pytest.raises(DataError, match="'y' is named more than once"):
+        ingest_csv(path, "y")
+    out = tmp_path / "fit"
+    assert main(["fit", "--data", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_ingest_parse_error_reports_location(tmp_path):
     path = tmp_path / "d.csv"
     write(path, "a,y\n1,2\nfoo,3\n")

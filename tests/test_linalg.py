@@ -8,12 +8,12 @@ from scipy.linalg import cho_factor
 
 from sindex import _linalg
 from sindex._linalg import Gram, adjustment_trace, cho_inverse, weighted_gram
-from sindex.deconv import DeconvConfig
+from sindex.deconv import KERNELS, DeconvConfig
 from sindex.errors import RankError
 from sindex.experiments import _simulate
 from sindex.inference import adjust_inferential
 from sindex.models import Dataset
-from sindex.pilot import fit_pilot, glm_mle_fit
+from sindex.pilot import PILOT_KINDS, fit_pilot, glm_mle_fit
 from sindex.pipeline import PipelineConfig, SplitConfig, run_pipeline
 from sindex.surrogate import _newton_direction, fit_coefficients
 
@@ -47,14 +47,15 @@ def well_posed(x, weights, ridge):
 
 
 def used_gram(x, weights, ridge):
-    """A Gram of x that already served other weights on both paths, the
+    """A Gram of x that already served other weights at ridge 0 (the p x p
+    path) and at this ridge (the n x n path when ridge > 0 and p > n), the
     last ones off in every third row, so that the next call updates."""
     gram = Gram(x)
     others = weights.copy()
     others[::3] = 1.0 + weights[::3]
-    for dual in (False, True):
-        gram.weighted(np.full(len(weights), 0.5), ridge, dual)
-        gram.weighted(others, ridge, dual)
+    for served in (0.0, ridge):
+        gram.weighted(np.full(len(weights), 0.5), served)
+        gram.weighted(others, served)
     return gram
 
 
@@ -88,7 +89,7 @@ def test_newton_direction_solves_hessian_system(problem):
     assume(well_posed(x, weights, ridge))
     grad = np.random.default_rng(x.shape[0]).standard_normal(x.shape[1])
     hess = dense_hessian(x, weights, ridge)
-    for gram in (None, used_gram(x, weights, ridge)):
+    for gram in (Gram(x), used_gram(x, weights, ridge)):
         d = _newton_direction(x, weights, ridge, grad, gram)
         scale = np.linalg.norm(hess, 2) * np.linalg.norm(d) + np.linalg.norm(grad)
         assert np.linalg.norm(hess @ d + grad) <= 1e-10 * scale
@@ -110,8 +111,9 @@ def test_weighted_gram_and_cho_inverse(dual):
 
 @st.composite
 def weight_sequences(draw):
-    """(x, dual, ridge, weight vectors): each vector changes a few rows,
-    most rows, sets rows to zero, makes every weight equal, or repeats."""
+    """(x, ridge, weight vectors): each vector changes a few rows, most
+    rows, sets rows to zero, makes every weight equal, or repeats.  With
+    p > n, ridge 0.7 takes the n x n path and ridge 0 the p x p one."""
     n = draw(st.integers(2, 16))
     p = draw(st.integers(1, 16))
     x = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal((n, p))
@@ -130,17 +132,21 @@ def weight_sequences(draw):
             for row in rows:
                 weights[row] = 0.0 if step == "zero" else draw(value)
         sequence.append(weights)
-    return x, draw(st.booleans()), draw(st.sampled_from((0.0, 0.7))), sequence
+    return x, draw(st.sampled_from((0.0, 0.7))), sequence
 
 
 @settings(max_examples=200, deadline=None)
 @given(weight_sequences())
 def test_gram_follows_a_sequence_of_weights(case):
-    x, dual, ridge, sequence = case
+    x, ridge, sequence = case
+    n, p = x.shape
+    dual = ridge > 0.0 and p > n
     gram = Gram(x)
+    assert gram.dual(ridge) == dual
     for weights in [None] + sequence:
-        got = gram.weighted(weights, ridge, dual)
+        got = gram.weighted(weights, ridge)
         reference = weighted_gram(x, weights, ridge, dual)
+        assert got.shape == ((n, n) if dual else (p, p))
         assert got.flags.f_contiguous
         assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
         got[...] = np.nan  # the caller may factor the matrix in place
@@ -203,7 +209,7 @@ def test_gram_keeps_one_factor_for_exactly_equal_weights(cho_calls):
     assert gram.factor(weights.copy(), 0.3) is fac and len(cho_calls) == 1
     nudged = weights.copy()
     nudged[7] = np.nextafter(nudged[7], 3.0)
-    for args in ((nudged, 0.3), (weights, 0.3, True), (weights, 0.4), (weights, 0.3)):
+    for args in ((nudged, 0.3), (weights, 0.0), (weights, 0.4), (weights, 0.3)):
         gram.factor(*args)  # no tolerance: each differs from the one before
     assert len(cho_calls) == 5
     gram.weighted(weights, 0.3)  # a matrix handed out drops the kept factor
@@ -215,6 +221,8 @@ def test_gram_keeps_one_factor_for_exactly_equal_weights(cho_calls):
     assert np.allclose(np.triu(taken[0]).T @ np.triu(taken[0]), reference, rtol=1e-12)
     gram.factor(weights, 0.3)  # the taken factor is not handed out again
     assert len(cho_calls) == 7
+    wide = Gram(rng.standard_normal((6, 30)))  # p > n at a ridge: n x n
+    assert wide.factor(weights[:6], 0.3)[0].shape == (6, 6) and len(cho_calls) == 8
 
 
 @pytest.mark.parametrize("n, p", [(80, 160), (300, 20)])
@@ -242,11 +250,46 @@ def test_trace_after_the_refit_factors_nothing(cho_calls, n, p):
 
 def test_mle_pilot_trace_factors_once(cho_calls):
     # The MLE pilot's weights at its fit never equal its last Newton
-    # weights, and its trace runs on a Gram of its own: the pilot factors
-    # once more than its Newton loop does.
+    # weights, so its trace, on the Gram that served the Newton loop,
+    # factors anew: the pilot factors once more than its Newton loop does.
     x, y, _, _ = _simulate("logit", 400, 20, "uniform-sphere", np.random.SeedSequence(3))
     glm_mle_fit(x, y, "logistic")
     newton = list(cho_calls)
     cho_calls.clear()
     fit_pilot(x, y, "logit-mle")
     assert cho_calls == newton + [(20, 20)]
+
+
+@pytest.fixture
+def grams(monkeypatch):
+    """The shapes of the designs that Grams are built on, in order."""
+    built = []
+    init = Gram.__init__
+
+    def counted(self, x):
+        built.append(x.shape)
+        init(self, x)
+
+    monkeypatch.setattr(Gram, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("kind", PILOT_KINDS)
+def test_one_gram_per_design_matrix(grams, kind):
+    # Every solve on one design matrix shares its one Gram: the ridge solve,
+    # or the MLE's Newton steps and its trace, then the refit's Newton steps
+    # and the inference trace.  run_pipeline builds one for each half of a
+    # split, and one for data itself under no_split.
+    x, y, _, _ = _simulate("logit", 400, 10, "uniform-sphere", np.random.SeedSequence(4))
+    fit_pilot(x, y, kind)
+    assert len(grams) <= 1
+    for no_split in (True, False):
+        grams.clear()
+        config = PipelineConfig(
+            pilot_kind=kind,
+            deconv=DeconvConfig(kernel=KERNELS["flattop"]),
+            split=SplitConfig(no_split=no_split),
+        )
+        report = run_pipeline(Dataset(x, y), config)
+        halves = [(400, 10)] if no_split else [(report.n1, 10), (report.n2, 10)]
+        assert grams == halves

@@ -130,7 +130,7 @@ def unit_with(i, j, value):
     ids=["diagonal", "below-first", "below-last", "above"],
 )
 def test_sample_design_multiplies_by_a_non_identity_factor(chol):
-    spec = DesignSpec(p=3, sigma=chol @ chol.T, chol=chol, tau=np.ones(3))
+    spec = DesignSpec(p=3, chol=chol, tau=np.ones(3))
     x = sample_design(30, spec, seed=5)
     raw = np.random.default_rng(5).standard_normal((30, 3))
     assert np.array_equal(x, raw @ chol.T)
