@@ -12,10 +12,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.special import ndtr, ndtri
 
 from ._linalg import adjustment_trace
-from .errors import ConfigError, DegenerateError, InvalidDesignError
+from .errors import ConfigError, DegenerateError
+from .models import DesignSpec
 from .pilot import observable_adjustments
 from .surrogate import WorkingLink
 
@@ -114,6 +116,8 @@ def marginal_inference(
     tau = np.asarray(tau, dtype=float)
     if tau.shape != (p,):
         raise ConfigError("tau must have one entry per coordinate")
+    if not np.all(np.isfinite(tau) & (tau > 0)):
+        raise ConfigError("tau must be finite and positive")
     if sigma2_hat <= 0:
         raise DegenerateError("sigma2_hat must be positive for inference")
     if mu_hat <= 0:
@@ -151,21 +155,15 @@ def oracle_params(
     """True-beta projections in whitened coordinates (simulation oracle).
 
     With theta = L' beta and theta_hat = L' beta_hat for the Cholesky factor
-    L of Sigma: mu = theta'theta_hat / theta'theta and
-    sigma = || theta_hat - mu theta ||.
+    L of Sigma (DesignSpec.from_sigma): mu = theta'theta_hat / theta'theta
+    and sigma = || theta_hat - mu theta ||.
     """
     beta = np.asarray(beta, dtype=float)
     beta_hat = np.asarray(beta_hat, dtype=float)
     if sigma is None:
         theta, theta_hat = beta, beta_hat
     else:
-        sigma = np.asarray(sigma, dtype=float)
-        if np.max(np.abs(sigma - sigma.T)) > 1e-10:
-            raise InvalidDesignError("covariance is not symmetric")
-        try:
-            chol = np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError as err:
-            raise InvalidDesignError("covariance is not positive definite") from err
+        chol = DesignSpec.from_sigma(sigma).chol
         theta = chol.T @ beta
         theta_hat = chol.T @ beta_hat
     denom = float(theta @ theta)
@@ -196,19 +194,15 @@ def joint_transform(sigma: np.ndarray, coords: Sequence[int]) -> np.ndarray:
     Returns M with M Theta_S M' = I (inverse of the Cholesky factor of the
     S-block of the precision matrix), so that
     M sqrt(p) (beta_hat_S - mu beta_S) / sigma is asymptotically standard
-    normal.
+    normal.  Theta_S = Z'Z, with L Z = I_S for the Cholesky factor L of
+    Sigma (DesignSpec.from_sigma) and the columns I_S of the identity.
     """
-    sigma = np.asarray(sigma, dtype=float)
     coords = np.asarray(coords)
     if coords.ndim != 1 or coords.dtype.kind not in "iu" or len(coords) == 0:
         raise ConfigError(f"need a nonempty list of integer coordinates, not {coords}")
     p = len(sigma)
     if len(np.unique(coords)) < len(coords) or coords.min() < 0 or coords.max() >= p:
         raise ConfigError(f"coordinates must be distinct and lie in [0, {p}), not {coords}")
-    try:
-        theta = np.linalg.inv(sigma)
-    except np.linalg.LinAlgError as err:
-        raise InvalidDesignError("covariance is not invertible") from err
-    block = theta[np.ix_(coords, coords)]
-    chol = np.linalg.cholesky(block)
-    return np.linalg.inv(chol)
+    chol = DesignSpec.from_sigma(sigma).chol
+    z = solve_triangular(chol, np.eye(p)[:, coords], lower=True)
+    return np.linalg.inv(np.linalg.cholesky(z.T @ z))

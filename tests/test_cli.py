@@ -5,6 +5,7 @@ import csv
 import glob
 import json
 import os
+import pathlib
 import tempfile
 
 import numpy as np
@@ -235,15 +236,68 @@ def _writing_scopes(node, scope, found):
     return found
 
 
+def _sources() -> dict:
+    """The text of each module of the package, by file name."""
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(sindex.__file__), "*.py")))
+    return {os.path.basename(path): pathlib.Path(path).read_text() for path in paths}
+
+
 def test_only_the_writer_opens_files_for_writing():
     # The file formats live in one function; any other writer would fork them.
     writers = set()
-    for path in sorted(glob.glob(os.path.join(os.path.dirname(sindex.__file__), "*.py"))):
-        with open(path) as handle:
-            tree = ast.parse(handle.read())
-        module = os.path.basename(path)[:-3]
-        writers |= {(module, fn) for fn in _writing_scopes(tree, "<module>", set())}
+    for module, text in _sources().items():
+        found = _writing_scopes(ast.parse(text), "<module>", set())
+        writers |= {(module[:-3], fn) for fn in found}
     assert writers == {("experiments", "_write_outputs")}
+
+
+def _references(tree) -> set:
+    """Names that tree reads, as a bare name or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        or isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_import_is_used():
+    # No linter runs on this package, so this is the unused-import rule.
+    unused = []
+    for module, text in _sources().items():
+        if module == "__init__.py":
+            continue
+        tree, lines = ast.parse(text), text.splitlines()
+        used = _references(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                        unused.append((module, name))
+    assert unused == []
+
+
+def _bound_names(statement) -> list:
+    """Names a module-level statement binds by def, class or assignment."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+    return [n.id for t in filter(None, targets) for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def test_every_private_module_name_is_referenced():
+    # A module-level _name is not part of the API, so if nothing in the
+    # package reads it, nothing needs it.
+    trees = {module: ast.parse(text) for module, text in _sources().items()}
+    referenced = set().union(*map(_references, trees.values()))
+    unreferenced = [
+        (module, name)
+        for module, tree in trees.items() if module != "__init__.py"
+        for statement in tree.body for name in _bound_names(statement)
+        if name.startswith("_") and not name.startswith("__") and name not in referenced
+    ]
+    assert unreferenced == []
 
 
 def test_cli_config_error_exit_code(tmp_path):

@@ -5,7 +5,9 @@ import pytest
 from scipy.special import expit
 
 from sindex._linalg import adjustment_trace
-from sindex.errors import ConfigError, DegenerateError, RankError
+from sindex.deconv import KERNELS, DeconvConfig
+from sindex.errors import ConfigError, DegenerateError, InvalidDesignError, RankError
+from sindex.experiments import _simulate
 from sindex.inference import (
     adjust_inferential,
     effective_variance_estimated,
@@ -14,8 +16,9 @@ from sindex.inference import (
     marginal_inference,
     oracle_params,
 )
-from sindex.models import EXP_LINK, IDENTITY_LINK, LOGISTIC_LINK
+from sindex.models import EXP_LINK, IDENTITY_LINK, LOGISTIC_LINK, Dataset
 from sindex.pilot import fit_pilot
+from sindex.pipeline import PipelineConfig, SplitConfig, run_pipeline
 
 rng = np.random.default_rng(606)
 
@@ -144,6 +147,11 @@ def test_marginal_inference_validation():
         marginal_inference(np.ones(2), 1.0, 0.0, np.ones(2))
     with pytest.raises(ConfigError):
         marginal_inference(np.ones(2), 1.0, 1.0, np.ones(3))
+    # tau_j = Theta_jj^{-1/2} is positive: 0 would give an infinite
+    # interval and -1 an inverted one.
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="tau"):
+            marginal_inference(np.ones(2), 1.0, 1.0, np.array([1.0, bad]))
 
 
 def test_oracle_params_trivial_cases():
@@ -204,6 +212,43 @@ def test_joint_transform_rejects_bad_coordinates(coords):
     # past p would raise a bare IndexError, and 1.5 would be cut to 1.
     with pytest.raises(ConfigError, match="coordinates"):
         joint_transform(np.eye(4) + 0.1, coords)
+
+
+@pytest.mark.parametrize(
+    "sigma", [[[1.0, 2.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]],
+    ids=["non-symmetric", "indefinite", "nan"],
+)
+@pytest.mark.parametrize(
+    "use",
+    [lambda s: joint_transform(s, [0, 1]), lambda s: oracle_params(np.ones(2), np.ones(2), s)],
+    ids=["joint_transform", "oracle_params"],
+)
+def test_bad_covariance_is_an_invalid_design(use, sigma):
+    # Both take Sigma through DesignSpec.from_sigma, the one check of a
+    # covariance.
+    with pytest.raises(InvalidDesignError):
+        use(np.array(sigma))
+
+
+@pytest.mark.parametrize("mode", ["unregularized", "censored"])
+def test_unpenalized_modes_cover(mode):
+    # Criterion 3 gates ridge mode only; these are the other two modes.
+    n, p = 1000, 100
+    config = PipelineConfig(
+        pilot_kind="ls",
+        pilot_lam=None,
+        deconv=DeconvConfig(kernel=KERNELS["flattop"]),
+        penalty="none",
+        penalty_lam=0.0,
+        inference_mode=mode,
+        split=SplitConfig(no_split=True),
+    )
+    covered = []
+    for ss in np.random.SeedSequence(2024).spawn(40):
+        x, y, beta, design = _simulate("cubic", n, p, "uniform-sphere", ss)
+        inf = run_pipeline(Dataset(x, y), config, design=design).inference
+        covered.append((inf.ci_lo <= beta) & (beta <= inf.ci_hi))
+    assert 0.93 <= np.mean(covered) <= 0.97
 
 
 def test_report_serialization():
