@@ -9,11 +9,15 @@ path the unweighted XX', rescaled for each weight vector; on the primal
 path the last X'DX, updated over the rows whose weight changed; and the
 Cholesky factor of the last matrix it factored, which the trace takes over
 when the refit's last Newton step left the weights where the fit ended.
+
+Every factorization and solve goes straight to LAPACK: the matrices are
+built here from checked data, so the one finiteness check each entry makes
+replaces scipy's wrappers, which rescan every operand on every call.
 """
 
 import numpy as np
-from scipy.linalg import cho_factor, LinAlgError
-from scipy.linalg.lapack import dpotri
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .errors import RankError
 
@@ -35,7 +39,7 @@ def weighted_gram(x, weights=None, ridge=0.0, dual=False):
 
     The weights must be nonnegative; None stands for the identity.  The
     matrix is returned Fortran-ordered (as its own transpose, being
-    symmetric), so that cho_factor(..., overwrite_a=True) factors it in place.
+    symmetric), so that cho_factor factors it in place.
     """
     sx = x if weights is None else np.sqrt(weights)[:, None] * x
     gram = sx @ sx.T if dual else sx.T @ sx
@@ -76,7 +80,7 @@ class Gram:
         same = last is not None and last[1] == ridge
         if not (same and np.array_equal(last[0], weights)):
             matrix = self.weighted(weights, ridge)
-            self._factor = cho_factor(matrix, overwrite_a=True)
+            self._factor = cho_factor(matrix)
             self._factored = (np.array(weights, dtype=float), ridge)
         return self._factor
 
@@ -114,17 +118,15 @@ class Gram:
         weights = np.ones(len(self.x)) if unit else np.array(weights, dtype=float)
         if self._norms is None:
             self._norms = np.einsum("ij,ij->i", self.x, self.x)
-        if self._weights is not None:
-            delta = weights - self._weights
+        delta = None if self._weights is None else weights - self._weights
+        # Counted first (a nan counts as changed): each Newton step of an MLE
+        # pilot changes every weight, and then nothing is gathered.
+        if delta is not None and np.count_nonzero(delta) <= _UPDATE_SHARE * len(weights):
             changed = np.flatnonzero(delta)
             # tr(S+'S+ + S-'S-), summed with the earlier ones; a weight or
             # row that is not finite makes it inf or nan, and X'DX rebuilt.
             mass = self._mass + np.abs(delta[changed]) @ self._norms[changed]
-            if (
-                len(changed) <= _UPDATE_SHARE * len(weights)
-                and np.isfinite(mass)
-                and mass <= _UPDATE_MASS * (weights @ self._norms)
-            ):
+            if np.isfinite(mass) and mass <= _UPDATE_MASS * (weights @ self._norms):
                 # X'D'X = X'DX + S+'S+ - S-'S-, where S+ (S-) is
                 # |w' - w|^{1/2} X over the rows whose weight rose (fell).
                 rise = changed[delta[changed] > 0]
@@ -140,6 +142,35 @@ class Gram:
         self._weights = weights
         self._mass = weights @ self._norms
         return self._xdx
+
+
+def cho_factor(a):
+    """Upper Cholesky factor (c, False) of the symmetric positive definite a,
+    as scipy.linalg.cho_factor(a, overwrite_a=True) gives it: in place when
+    a is Fortran-ordered, with the lower triangle left as it was.
+
+    Raises ValueError when a is not finite, LinAlgError when it is not
+    positive definite.
+    """
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = dpotrf(a, overwrite_a=1, clean=0)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return c, False
+
+
+def cho_solve(factor, b):
+    """A^{-1} b from factor = cho_factor(A), as scipy.linalg.cho_solve; only
+    b is checked, as cho_factor checked A.  Raises ValueError when b is not
+    finite."""
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    c, lower = factor
+    x, info = dpotrs(c, b, lower=lower)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
 
 
 def cho_inverse(factor):

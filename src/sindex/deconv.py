@@ -115,6 +115,17 @@ def default_grid(a: float = -3.0, b: float = 3.0, points: int = 301) -> np.ndarr
     return np.linspace(a, b, points)
 
 
+def _check_grid(grid: np.ndarray) -> None:
+    """A ConfigError unless grid is default_grid(a, b, points) with points >= 2
+    and increasing nodes: equispaced, as the rearrangement and the link's
+    cell lookup assume, and as to_dict writes it.  Nodes that rounding
+    merged, or that lie a subnormal step apart, would break the lookup and
+    the slopes, so the steps must be at least the smallest normal float."""
+    ok = grid.ndim == 1 and len(grid) >= 2 and np.diff(grid).min() >= np.finfo(float).tiny
+    if not (ok and np.array_equal(grid, default_grid(grid[0], grid[-1], len(grid)))):
+        raise ConfigError("grid must be default_grid(a, b, points), a < b, points >= 2")
+
+
 def _check_bandwidth(mode: str, h: Optional[float], c_h: Optional[float]) -> None:
     """A ConfigError unless the bandwidth rule is "fixed" with h > 0, or
     "theory" with c_h positive or None (its default)."""
@@ -140,10 +151,7 @@ class DeconvConfig:
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
-        # Equispaced, as the rearrangement assumes and as to_dict writes it.
-        ok = grid.ndim == 1 and len(grid) >= 2 and grid[0] < grid[-1]
-        if not (ok and np.array_equal(grid, default_grid(grid[0], grid[-1], len(grid)))):
-            raise ConfigError("grid must be default_grid(a, b, points), a < b, points >= 2")
+        _check_grid(grid)
         if self.deriv_floor <= 0:
             raise ConfigError("derivative floor must be positive")
         _check_bandwidth(self.bandwidth_mode, self.h, self.c_h)
@@ -171,29 +179,62 @@ class LinkEstimate:
     window: Tuple[float, float]
     deriv_floor: float
 
+    def __post_init__(self):
+        _check_grid(np.asarray(self.grid, dtype=float))
+
     @functools.cached_property
     def _pieces(self):
-        """The slopes of `_floored_slopes` and the antiderivative at the
-        nodes."""
-        return (
-            *_floored_slopes(self.grid, self.values, self.deriv_floor),
-            build_antiderivative(self.grid, self.values),
-        )
+        """Per position pos = searchsorted(grid, x, "right"), 0 to m for m
+        nodes: the left node of the cell (the end node beyond the grid), the
+        value and the antiderivative there, and the slopes of
+        `_floored_slopes`."""
+        node = np.maximum(np.arange(len(self.grid) + 1) - 1, 0)
+        gvals = build_antiderivative(self.grid, self.values)
+        slopes, floored = _floored_slopes(self.grid, self.values, self.deriv_floor)
+        return self.grid[node], self.values[node], gvals[node], slopes, floored
+
+    @functools.cached_property
+    def _lookup(self):
+        """Scale and shift with x scale + shift = (x - a)(m - 1)/(b - a) + 1
+        on the grid a = x_0 < ... < x_{m-1} = b, the last position m, and
+        the nodes below and above each position: x_{pos-1} (-inf at 0) and
+        x_pos (nan at m, which no point reaches or passes)."""
+        grid = self.grid
+        a, b, m = grid[0], grid[-1], len(grid)
+        scale = (m - 1) / (b - a)
+        below = np.concatenate(([-np.inf], grid))
+        above = np.concatenate((grid, [np.nan]))
+        return scale, 1.0 - a * scale, float(m), below, above
+
+    def _positions(self, x: np.ndarray) -> np.ndarray:
+        """np.searchsorted(grid, x, "right"), by arithmetic on the equispaced
+        grid: (x - a)(m - 1)/(b - a) + 1, clamped to [0, m] (nan to m, where
+        searchsorted sorts it), and truncated, is off by at most one
+        position, which one node comparison on each side corrects."""
+        scale, shift, last, below, above = self._lookup
+        est = x * scale
+        est += shift
+        np.fmin(est, last, out=est)
+        np.fmax(est, 0.0, out=est)
+        pos = est.astype(np.intp)
+        pos += x >= above[pos]
+        pos -= x < below[pos]
+        return pos
 
     def evaluate(self, x: np.ndarray):
-        """(G, ghat, ghat') at the points of x, from one search of the grid.
+        """(G, ghat, ghat') at the points of x, from one lookup of their
+        cells on the grid.
 
         ghat is piecewise-linear inside the window and continues linearly
         beyond it with the floored end slope; G is its exact integral from
         the left grid edge; ghat' is the local slope, never below the floor.
         """
-        slopes, floored, gvals = self._pieces
-        pos = np.searchsorted(self.grid, x, side="right")
-        node = np.maximum(pos - 1, 0)  # left node of the cell, or the end node
-        dx = x - self.grid[node]
-        base, slope = self.values[node], slopes[pos]
+        left, values, gvals, slopes, floored = self._pieces
+        pos = self._positions(x)
+        dx = x - left[pos]
+        base, slope = values[pos], slopes[pos]
         return (
-            gvals[node] + base * dx + 0.5 * slope * dx * dx,
+            gvals[pos] + base * dx + 0.5 * slope * dx * dx,
             base + slope * dx,
             floored[pos],
         )

@@ -17,7 +17,7 @@ from scipy.special import ndtr, ndtri
 
 from ._linalg import adjustment_trace
 from .errors import ConfigError, DegenerateError
-from .models import DesignSpec
+from .models import covariance_cholesky
 from .pilot import observable_adjustments
 from .surrogate import WorkingLink
 
@@ -118,13 +118,14 @@ def marginal_inference(
         raise ConfigError("tau must have one entry per coordinate")
     if not np.all(np.isfinite(tau) & (tau > 0)):
         raise ConfigError("tau must be finite and positive")
-    if sigma2_hat <= 0:
-        raise DegenerateError("sigma2_hat must be positive for inference")
-    if mu_hat <= 0:
-        raise DegenerateError("mu_hat must be positive for interval construction")
-    if null_values is None:
-        null_values = np.zeros(p)
-    null_values = np.asarray(null_values, dtype=float)
+    # Negated, so that nan fails them too.
+    if not 0.0 < sigma2_hat < np.inf:
+        raise DegenerateError("sigma2_hat must be finite and positive for inference")
+    if not 0.0 < mu_hat < np.inf:
+        raise DegenerateError("mu_hat must be finite and positive for interval construction")
+    null_values = np.zeros(p) if null_values is None else np.asarray(null_values, dtype=float)
+    if null_values.shape != (p,):
+        raise ConfigError("null_values must have one entry per coordinate")
     sigma = np.sqrt(sigma2_hat)
     sp = np.sqrt(p)
     t_stats = sp * tau * (beta_hat - mu_hat * null_values) / sigma
@@ -155,7 +156,7 @@ def oracle_params(
     """True-beta projections in whitened coordinates (simulation oracle).
 
     With theta = L' beta and theta_hat = L' beta_hat for the Cholesky factor
-    L of Sigma (DesignSpec.from_sigma): mu = theta'theta_hat / theta'theta
+    L of Sigma (models.covariance_cholesky): mu = theta'theta_hat / theta'theta
     and sigma = || theta_hat - mu theta ||.
     """
     beta = np.asarray(beta, dtype=float)
@@ -163,7 +164,7 @@ def oracle_params(
     if sigma is None:
         theta, theta_hat = beta, beta_hat
     else:
-        chol = DesignSpec.from_sigma(sigma).chol
+        chol = covariance_cholesky(sigma)
         theta = chol.T @ beta
         theta_hat = chol.T @ beta_hat
     denom = float(theta @ theta)
@@ -195,7 +196,7 @@ def joint_transform(sigma: np.ndarray, coords: Sequence[int]) -> np.ndarray:
     S-block of the precision matrix), so that
     M sqrt(p) (beta_hat_S - mu beta_S) / sigma is asymptotically standard
     normal.  Theta_S = Z'Z, with L Z = I_S for the Cholesky factor L of
-    Sigma (DesignSpec.from_sigma) and the columns I_S of the identity.
+    Sigma (models.covariance_cholesky) and the columns I_S of the identity.
     """
     coords = np.asarray(coords)
     if coords.ndim != 1 or coords.dtype.kind not in "iu" or len(coords) == 0:
@@ -203,6 +204,6 @@ def joint_transform(sigma: np.ndarray, coords: Sequence[int]) -> np.ndarray:
     p = len(sigma)
     if len(np.unique(coords)) < len(coords) or coords.min() < 0 or coords.max() >= p:
         raise ConfigError(f"coordinates must be distinct and lie in [0, {p}), not {coords}")
-    chol = DesignSpec.from_sigma(sigma).chol
+    chol = covariance_cholesky(sigma)
     z = solve_triangular(chol, np.eye(p)[:, coords], lower=True)
     return np.linalg.inv(np.linalg.cholesky(z.T @ z))

@@ -45,6 +45,23 @@ class Dataset:
         return self.x.shape[1]
 
 
+def covariance_cholesky(sigma: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the covariance sigma, after checking that it
+    is finite, square, symmetric to 1e-10 and positive definite; raises
+    InvalidDesignError otherwise.  Every covariance enters through here."""
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+        raise InvalidDesignError("covariance must be square")
+    if not np.all(np.isfinite(sigma)):
+        raise InvalidDesignError("covariance contains non-finite entries")
+    if np.max(np.abs(sigma - sigma.T)) > 1e-10:
+        raise InvalidDesignError("covariance is not symmetric to 1e-10")
+    try:
+        return np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError as err:
+        raise InvalidDesignError("covariance is not positive definite") from err
+
+
 @dataclass(frozen=True)
 class DesignSpec:
     """Gaussian design: the Cholesky factor of its covariance Sigma, and
@@ -62,25 +79,9 @@ class DesignSpec:
 
     @classmethod
     def from_sigma(cls, sigma: np.ndarray) -> "DesignSpec":
-        sigma = np.asarray(sigma, dtype=float)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise InvalidDesignError("covariance must be square")
-        if not np.all(np.isfinite(sigma)):
-            raise InvalidDesignError("covariance contains non-finite entries")
-        if np.max(np.abs(sigma - sigma.T)) > 1e-10:
-            raise InvalidDesignError("covariance is not symmetric to 1e-10")
-        try:
-            chol = np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError as err:
-            raise InvalidDesignError(
-                "covariance is not positive definite"
-            ) from err
+        chol = covariance_cholesky(sigma)
         theta_diag = np.diag(cho_inverse((chol.copy(), True)))
-        return cls(
-            p=sigma.shape[0],
-            chol=chol,
-            tau=1.0 / np.sqrt(theta_diag),
-        )
+        return cls(p=len(chol), chol=chol, tau=1.0 / np.sqrt(theta_diag))
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import LinAlgError
 
-from ._linalg import Gram, adjustment_trace, cho_inverse, weighted_gram
+from ._linalg import (
+    Gram, adjustment_trace, cho_factor, cho_inverse, cho_solve, weighted_gram
+)
 from .errors import (
     ConfigError,
     DegenerateError,
@@ -89,7 +91,7 @@ def least_squares_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if n <= p:
         raise NonIdentifiableError("least squares needs n > p")
     try:
-        return cho_solve(cho_factor(weighted_gram(x), overwrite_a=True), x.T @ y)
+        return cho_solve(cho_factor(weighted_gram(x)), x.T @ y)
     except LinAlgError as err:
         raise NonIdentifiableError(f"design is rank deficient: {err}") from err
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import LinAlgError
 
-from ._linalg import Gram
+from ._linalg import Gram, cho_factor, cho_solve
 from .deconv import LinkEstimate
 from .deconv import eval_link  # noqa: F401  (bench/tracer.py wraps it here)
 from .errors import (
@@ -109,7 +109,7 @@ def _jittered_factor(gram, w, ridge, grad):
     for _ in range(11):
         shift = base * 1e-8 if shift == 0.0 else shift * 100.0
         try:
-            return cho_factor(gram.weighted(w, ridge + shift), overwrite_a=True)
+            return cho_factor(gram.weighted(w, ridge + shift))
         except LinAlgError:
             pass
     raise SolverError("Newton system stayed singular under diagonal shifts")

@@ -19,7 +19,7 @@ from sindex import cli, experiments
 from sindex.cli import _build_parser, _load_config, dataset_to_csv, ingest_csv, main
 from sindex.errors import DataError
 from sindex.experiments import ExperimentSpec, _simulate, run_experiment
-from sindex import pilot, pipeline
+from sindex import _linalg, pilot, pipeline, surrogate
 from sindex.inference import effective_variance_oracle
 from sindex.models import Dataset, DesignSpec, sample_coefficients, sample_design
 from sindex.pipeline import PipelineConfig, SplitConfig, run_pipeline
@@ -298,6 +298,31 @@ def test_every_private_module_name_is_referenced():
         if name.startswith("_") and not name.startswith("__") and name not in referenced
     ]
     assert unreferenced == []
+
+
+#: The Cholesky entry points that sindex._linalg keeps.
+_CHOLESKY = {"cho_factor", "cho_solve"}
+
+
+def test_no_module_takes_cholesky_from_scipy():
+    # Every factorization and solve goes through sindex._linalg, whose
+    # matrices were checked once; scipy's wrappers rescan every operand.
+    # The modules import the two by name, so no attribute reads them.
+    found = []
+    for module, text in _sources().items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                found += [(module, a.name) for a in node.names if a.name in _CHOLESKY]
+            elif isinstance(node, ast.Attribute) and node.attr in _CHOLESKY:
+                found.append((module, node.attr))
+    assert found == []
+
+
+@pytest.mark.parametrize("name", sorted(_CHOLESKY))
+def test_one_cholesky_object_under_every_name(name):
+    # The benchmark's tracer counts factorizations where pilot, surrogate
+    # and _linalg look cho_factor up; each name must be the one entry.
+    assert getattr(pilot, name) is getattr(surrogate, name) is getattr(_linalg, name)
 
 
 def test_cli_config_error_exit_code(tmp_path):

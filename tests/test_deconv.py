@@ -1,5 +1,6 @@
 """Deconvolution kernel, bandwidth rule, grid regression, and link evaluation."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from sindex.deconv import (
     KERNELS,
     M0,
     KernelSpec,
+    LinkEstimate,
     _MAX_PANEL_NODES,
     _gauss_legendre,
     _kernel_coefficients,
@@ -354,6 +356,91 @@ def test_evaluate_agrees_bitwise_with_eval_link():
     g_ref, gp_ref = eval_link(link, probe)
     assert np.array_equal(g, g_ref) and np.array_equal(gp, gp_ref)
     assert eval_link(link, probe[7]) == (float(g[7]), float(gp[7]))
+
+
+def _flat_link(grid):
+    """A LinkEstimate of value 0 on grid."""
+    m = len(grid)
+    return LinkEstimate(
+        grid=grid,
+        values=np.zeros(m),
+        deriv=np.full(m, 1e-3),
+        varsigma2=0.1,
+        h=0.3,
+        window=tuple(np.ravel(grid)[[0, -1]]),
+        deriv_floor=1e-3,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 1001),
+    st.floats(-1e3, 1e3),
+    st.floats(1e-3, 1e3),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_cell_lookup_is_a_binary_search(m, a, width, seed):
+    # The link finds each point's cell by arithmetic on its equispaced
+    # grid; it must agree with searchsorted at and one rounding step on each
+    # side of every node, at +-inf, at nan (sorted last) and in between.
+    grid = default_grid(a, a + width, m)
+    between = np.random.default_rng(seed).uniform(a - width, a + 2.0 * width, 100)
+    x = np.concatenate(
+        (
+            grid,
+            np.nextafter(grid, -np.inf),
+            np.nextafter(grid, np.inf),
+            [np.inf, -np.inf, np.nan],
+            between,
+        )
+    )
+    link = _flat_link(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        positions = link._positions(x)
+    assert np.array_equal(positions, np.searchsorted(grid, x, "right"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(3, 1001),
+    st.floats(-1e3, 1e3),
+    st.floats(1e-3, 1e3),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.sampled_from([-np.inf, np.inf]),
+)
+def test_link_estimate_refuses_a_grid_that_is_not_default(m, a, width, where, side):
+    # The cell lookup holds on default_grid(a, b, m) alone, so a link on
+    # any other grid, here one interior node off by one rounding step, is
+    # refused when it is built.
+    grid = default_grid(a, a + width, m)
+    _flat_link(grid.copy())
+    k = 1 + int(where * (m - 2))
+    grid[k] = np.nextafter(grid[k], side)
+    with pytest.raises(ConfigError, match="default_grid"):
+        _flat_link(grid)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        [0.0, 1.0, 3.0],
+        [3.0, 0.0],
+        [1.0],
+        [[-1.0, 0.0, 1.0]],
+        [0.0, 0.0],
+        default_grid(1.0, 1.0 + 1e-14, 301),
+        default_grid(0.0, 1e-310, 11),
+    ],
+    ids=["uneven", "decreasing", "one node", "2-d", "empty window", "merged nodes", "subnormal"],
+)
+def test_malformed_grids_are_refused(grid):
+    # The last two are default grids on which rounding merged nodes, or
+    # whose step is subnormal: neither the cell lookup nor the slopes hold.
+    with pytest.raises(ConfigError, match="default_grid"):
+        _flat_link(np.array(grid))
+    with pytest.raises(ConfigError, match="default_grid"):
+        DeconvConfig(grid=np.array(grid))
 
 
 def test_eval_link_extrapolation_hand_trace():

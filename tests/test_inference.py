@@ -154,6 +154,23 @@ def test_marginal_inference_validation():
             marginal_inference(np.ones(2), 1.0, 1.0, np.array([1.0, bad]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["mu_hat", "sigma2_hat"])
+def test_marginal_inference_refuses_non_finite_parameters(name, bad):
+    # A nan fails no "<= 0" test, and would give nan intervals that reject
+    # nothing.
+    params = {"mu_hat": 1.0, "sigma2_hat": 1.0, name: bad}
+    with pytest.raises(DegenerateError, match=name):
+        marginal_inference(np.ones(2), tau=np.ones(2), **params)
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (2, 1), ()])
+def test_marginal_inference_refuses_misshapen_null_values(shape):
+    # A length-1 vector would broadcast over every coordinate.
+    with pytest.raises(ConfigError, match="null_values"):
+        marginal_inference(np.ones(2), 1.0, 1.0, np.ones(2), null_values=np.zeros(shape))
+
+
 def test_oracle_params_trivial_cases():
     beta = np.array([1.0, 0.0])
     assert oracle_params(beta, beta).mu == pytest.approx(1.0)
@@ -224,7 +241,7 @@ def test_joint_transform_rejects_bad_coordinates(coords):
     ids=["joint_transform", "oracle_params"],
 )
 def test_bad_covariance_is_an_invalid_design(use, sigma):
-    # Both take Sigma through DesignSpec.from_sigma, the one check of a
+    # Both take Sigma through models.covariance_cholesky, the one check of a
     # covariance.
     with pytest.raises(InvalidDesignError):
         use(np.array(sigma))

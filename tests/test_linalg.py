@@ -3,8 +3,9 @@ Newton direction against dense references."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
-from scipy.linalg import cho_factor
+from scipy.linalg import LinAlgError, cho_factor
 
 from sindex import _linalg
 from sindex._linalg import Gram, adjustment_trace, cho_inverse, weighted_gram
@@ -93,6 +94,39 @@ def test_newton_direction_solves_hessian_system(problem):
         d = _newton_direction(x, weights, ridge, grad, gram)
         scale = np.linalg.norm(hess, 2) * np.linalg.norm(d) + np.linalg.norm(grad)
         assert np.linalg.norm(hess @ d + grad) <= 1e-10 * scale
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 300), st.sampled_from([None, 1, 3]), st.integers(0, 2 ** 32 - 1))
+def test_cho_factor_and_solve_match_scipy_bit_for_bit(p, columns, seed):
+    # The lean entry calls the LAPACK routines that scipy's wrappers call,
+    # on the same operands, with one finiteness check instead of theirs.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((p + 3, p))
+    matrix = weighted_gram(x, rng.uniform(0.1, 2.0, p + 3), 0.01)
+    rhs = rng.standard_normal(p if columns is None else (p, columns))
+    reference = scipy.linalg.cho_factor(matrix.copy(order="F"))
+    factor = _linalg.cho_factor(matrix)
+    assert np.shares_memory(factor[0], matrix) and factor[1] is reference[1] is False
+    assert np.array_equal(_bits(factor[0]), _bits(reference[0]))
+    solution = _linalg.cho_solve(factor, rhs)
+    assert solution.shape == rhs.shape
+    assert np.array_equal(_bits(solution), _bits(scipy.linalg.cho_solve(reference, rhs)))
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = weighted_gram(x, None, 0.01)
+        broken[p // 2, 0] = bad
+        with pytest.raises(ValueError):
+            _linalg.cho_factor(broken)
+        spoiled = rhs.copy()
+        spoiled.flat[-1] = bad
+        with pytest.raises(ValueError):
+            _linalg.cho_solve(factor, spoiled)
+    with pytest.raises(LinAlgError):
+        _linalg.cho_factor(-weighted_gram(x, None, 0.01))
 
 
 @pytest.mark.parametrize("dual", [False, True])
@@ -190,11 +224,11 @@ def test_no_split_refit_on_the_pilots_gram_equals_a_fresh_fit(n, p):
 @pytest.fixture
 def cho_calls(monkeypatch):
     """The calls of sindex._linalg.cho_factor, the one every Gram makes."""
-    calls = []
+    calls, factor = [], _linalg.cho_factor
 
-    def counted(a, *args, **kwargs):
+    def counted(a):
         calls.append(a.shape)
-        return cho_factor(a, *args, **kwargs)
+        return factor(a)
 
     monkeypatch.setattr(_linalg, "cho_factor", counted)
     return calls
