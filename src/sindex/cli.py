@@ -189,7 +189,7 @@ def _cmd_experiment(args) -> int:
         name=args.name,
         out_dir=args.out,
         reps=args.reps,
-        seed=args.seed if args.seed is not None else 20240,
+        seed=args.seed,
         models=args.models,
         paper_scale=args.paper_scale,
         jobs=args.jobs,
@@ -236,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp = sub.add_parser("experiment", help="run a named experiment")
     exp.add_argument("--name", required=True)
     exp.add_argument("--reps", type=int)
-    exp.add_argument("--seed", type=int)
+    exp.add_argument("--seed", type=int, default=ExperimentSpec.seed)
     exp.add_argument("--models", nargs="*")
     exp.add_argument("--paper-scale", action="store_true")
     exp.add_argument("--jobs", type=int, default=1)

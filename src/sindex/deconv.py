@@ -128,13 +128,14 @@ def _check_grid(grid: np.ndarray) -> None:
 
 def _check_bandwidth(mode: str, h: Optional[float], c_h: Optional[float]) -> None:
     """A ConfigError unless the bandwidth rule is "fixed" with h > 0, or
-    "theory" with c_h positive or None (its default)."""
+    "theory", and c_h is positive or None (its default); all finite."""
     if mode not in ("fixed", "theory"):
         raise ConfigError("bandwidth mode must be 'fixed' or 'theory'")
-    if mode == "fixed" and (h is None or h <= 0):
-        raise ConfigError("fixed bandwidth mode needs h > 0")
-    if mode == "theory" and c_h is not None and c_h <= 0:
-        raise ConfigError("bandwidth constant c_h must be positive")
+    # Negated, so that nan fails them too.
+    if mode == "fixed" and (h is None or not 0.0 < h < np.inf):
+        raise ConfigError("fixed bandwidth mode needs a finite h > 0")
+    if c_h is not None and not 0.0 < c_h < np.inf:
+        raise ConfigError("bandwidth constant c_h must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,8 @@ class DeconvConfig:
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         _check_grid(grid)
-        if self.deriv_floor <= 0:
-            raise ConfigError("derivative floor must be positive")
+        if not 0.0 < self.deriv_floor < np.inf:
+            raise ConfigError(f"derivative floor must be positive and finite: eps = {self.deriv_floor}")
         _check_bandwidth(self.bandwidth_mode, self.h, self.c_h)
         if self.monotonizer not in MONOTONIZERS:
             raise ConfigError(
@@ -295,15 +296,26 @@ def _panel_nodes(length: float, omega: float, c: float) -> int:
     return min(8 * int(np.ceil(n / 8.0)), _MAX_PANEL_NODES)
 
 
+def _kernel_exponent(h: float, varsigma: float) -> float:
+    """The kernel integrand's largest exponent c = M0^2 varsigma^2 / (2 h^2)."""
+    r = M0 * varsigma / h
+    return r * r / 2.0
+
+
 def _kernel_panels(h: float, varsigma: float, spec: KernelSpec, omega: float):
     """Midpoint m, half length r and Gauss-Legendre rule (nodes x, weights)
     on [-1, 1] of each panel of [0, M0] between the kernel's breaks; the
     panel's nodes are m + r x.  The rules are symmetric: x = -x[::-1] and
     weights = weights[::-1], bit for bit, so each panel's nodes pair up as
     m -+ r x[len(x) // 2:]."""
-    if h <= 0:
+    if not h > 0:  # negated, so that nan fails it too
         raise ConfigError("bandwidth must be positive")
-    c = (M0 * varsigma / h) ** 2 / 2.0
+    c = _kernel_exponent(h, varsigma)
+    if not c <= _MAX_EXPONENT:
+        raise KernelOverflowError(
+            f"kernel integrand exp({c:.1f}) overflows; "
+            "the noise scale is too large for this bandwidth"
+        )
     edges = (0.0, *spec.breaks, M0)
     return [
         (0.5 * (a + b), 0.5 * (b - a), *_gauss_legendre(_panel_nodes(b - a, omega, c)))
@@ -318,22 +330,8 @@ def _panel_coefficients(
     t = np.concatenate([m + r * x for m, r, x, _ in panels])
     w = np.concatenate([r * wx for _, r, _, wx in panels])
     exponent = t * t * varsigma * varsigma / (2.0 * h * h)
-    if exponent.max() > _MAX_EXPONENT:
-        raise KernelOverflowError(
-            f"kernel integrand exp({np.max(exponent):.1f}) overflows; "
-            "the noise scale is too large for this bandwidth"
-        )
     psi = w * spec.fourier(t) * np.exp(exponent) / np.pi
     return t, psi
-
-
-def _kernel_coefficients(
-    h: float, varsigma: float, spec: KernelSpec, omega: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Nodes t_k and coefficients psi_k with K(u) = sum_k psi_k cos(t_k u),
-    accurate for |u| <= omega: composite Gauss-Legendre on the panels of
-    [0, M0] between the kernel's breaks."""
-    return _panel_coefficients(_kernel_panels(h, varsigma, spec, omega), h, varsigma, spec)
 
 
 def deconv_kernel_eval(
@@ -341,7 +339,8 @@ def deconv_kernel_eval(
 ):
     """Evaluate the deconvolution kernel at u (scalar or array)."""
     u = np.asarray(u, dtype=float)
-    t, psi = _kernel_coefficients(h, varsigma, spec, np.max(np.abs(u), initial=0.0))
+    panels = _kernel_panels(h, varsigma, spec, np.max(np.abs(u), initial=0.0))
+    t, psi = _panel_coefficients(panels, h, varsigma, spec)
     out = np.cos(np.multiply.outer(u, t)) @ psi
     return float(out) if out.ndim == 0 else out
 
@@ -355,19 +354,22 @@ def select_bandwidth(
 ) -> float:
     """Bandwidth for n observations at noise scale varsigma.
 
-    "fixed" returns h unchanged.  "theory" returns (c_h log n)^{-1/2} after
-    checking the stability constraint 2 M0^2 varsigma^2 c_h < 1; when c_h is
-    not supplied it defaults to 0.45 / (M0 varsigma)^2, which meets the
-    constraint with margin 0.9 (and to 1.0 in the noiseless case).
+    "theory" returns (c_h log n)^{-1/2} after checking the stability
+    constraint 2 M0^2 varsigma^2 c_h < 1; when c_h is not supplied it
+    defaults to 0.45 / (M0 varsigma)^2, which meets the constraint with
+    margin 0.9 (and to 1.0 in the noiseless case).  "fixed" returns h while
+    its kernel exponent is at most _MAX_EXPONENT, and the theory bandwidth,
+    whose exponent stays below log(n) / 4, otherwise.
     """
     _check_bandwidth(mode, h, c_h)
-    if mode == "fixed":
+    if not np.isfinite(varsigma):
+        raise KernelOverflowError(f"index noise scale varsigma = {varsigma} is not finite")
+    if mode == "fixed" and _kernel_exponent(h, varsigma) <= _MAX_EXPONENT:
         return float(h)
     if n < 2:
         raise ConfigError("theory bandwidth needs n >= 2")
     if c_h is None:
         c_h = 0.45 / (M0 * varsigma) ** 2 if varsigma > 0 else 1.0
-        _check_bandwidth(mode, h, c_h)  # 0 when varsigma is infinite
     if 2.0 * M0 ** 2 * varsigma ** 2 * c_h >= 1.0:
         raise BandwidthConstraintError(
             f"2 M0^2 varsigma^2 c_h = "
@@ -389,7 +391,7 @@ def nw_deconv_grid(
     points whose denominator is below _DENOM_TOL * n in absolute value are
     masked: their value is NaN.
 
-    The kernel is the quadrature sum of `_kernel_coefficients`, so both
+    The kernel is the quadrature sum of `_panel_coefficients`, so both
     sums are inner products over nodes t_k of per-node data sums, such as
     sum_i y_i cos(t_k W_i / h), with the grid waves cos(t_k x / h) and
     sin(t_k x / h).  The data sums are built per panel from the pairs

@@ -30,7 +30,7 @@ from scipy.special import ndtr
 
 from .debias import debias_index, index_zscores
 from .deconv import KERNELS, DeconvConfig, estimate_link
-from .errors import ConfigError, KernelOverflowError, PipelineError
+from .errors import ConfigError
 from .inference import effective_variance_oracle
 from .models import (
     Dataset,
@@ -377,27 +377,16 @@ def _figure3_rep(model_name, n, p, config, scheme, seedseq) -> tuple:
     s_data, s_split = _children(seedseq, 2)
     x, y, beta, design = _simulate(model_name, n, p, scheme, s_data)
     config = _with_split_seed(config, s_split)
-    try:
-        report = run_pipeline(Dataset(x, y), config, design=design)
-    except PipelineError as err:
-        if not isinstance(err.cause, KernelOverflowError):
-            raise
-        # A degenerate pilot (mu ~ 0) can blow up the index noise scale past
-        # what the fixed bandwidth tolerates; the theory bandwidth scales
-        # with the noise and keeps the kernel exponent bounded.
-        fallback = replace(config.deconv, bandwidth_mode="theory", h=None, c_h=None)
-        report = run_pipeline(
-            Dataset(x, y), replace(config, deconv=fallback), design=design
-        )
-        fallback_used = True
-    else:
-        fallback_used = False
+    report = run_pipeline(Dataset(x, y), config, design=design)
     inf = report.inference
     t1 = float(
         np.sqrt(p) * (report.coef.beta[0] - inf.mu_hat * beta[0]) / np.sqrt(inf.sigma2_hat)
     )
     covered = bool(inf.ci_lo[0] <= beta[0] <= inf.ci_hi[0])
-    return t1, covered, fallback_used
+    # A degenerate pilot (mu ~ 0) can blow up the index noise scale past
+    # what the fixed bandwidth tolerates; select_bandwidth then takes the
+    # theory bandwidth, which scales with the noise.
+    return t1, covered, report.link.h != config.deconv.h
 
 
 def figure3(spec: ExperimentSpec) -> tuple:

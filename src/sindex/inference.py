@@ -184,8 +184,11 @@ def effective_variance_oracle(beta_hat: np.ndarray, beta: np.ndarray) -> float:
 
 def effective_variance_estimated(mu_hat: float, sigma2_hat: float) -> float:
     """Estimated effective asymptotic variance sigma^2 / mu^2."""
-    if mu_hat <= 0:
-        raise DegenerateError("mu_hat must be positive")
+    # Negated, so that nan fails them too.
+    if not 0.0 < mu_hat < np.inf:
+        raise DegenerateError("mu_hat must be finite and positive")
+    if not 0.0 < sigma2_hat < np.inf:
+        raise DegenerateError("sigma2_hat must be finite and positive")
     return sigma2_hat / mu_hat ** 2
 
 

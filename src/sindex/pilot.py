@@ -174,11 +174,12 @@ def observable_adjustments(
 
 def check_pilot(kind: str, lam: Optional[float]) -> None:
     """A ConfigError unless kind is a pilot kind and a ridge pilot's lam is
-    positive or None (which fit_pilot reads as 1)."""
+    finite and positive or None (which fit_pilot reads as 1)."""
     if kind not in PILOT_LINKS:
         raise ConfigError(f"unknown pilot kind {kind!r}; choose from {PILOT_KINDS}")
-    if kind == "ridge" and lam is not None and lam <= 0:
-        raise ConfigError("ridge penalty must be positive")
+    # Negated, so that nan fails it too.
+    if kind == "ridge" and lam is not None and not 0.0 < lam < np.inf:
+        raise ConfigError(f"ridge penalty must be positive and finite: pilot lambda = {lam}")
 
 
 def fit_pilot(

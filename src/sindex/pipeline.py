@@ -132,11 +132,13 @@ class PipelineConfig:
             raise ConfigError(f"unknown penalty {self.penalty!r}")
         if self.penalty == "none":
             object.__setattr__(self, "penalty_lam", 0.0)
+        elif not 0.0 < self.penalty_lam < np.inf:  # negated, so that nan fails
+            raise ConfigError(
+                f"ridge penalty must be positive and finite: penalty lambda = {self.penalty_lam}"
+            )
         if self.inference_mode == "ridge":
-            if self.penalty != "ridge" or self.penalty_lam <= 0:
-                raise ConfigError(
-                    "ridge inference mode needs the ridge penalty with lambda > 0"
-                )
+            if self.penalty != "ridge":
+                raise ConfigError("ridge inference mode needs the ridge penalty")
         elif self.inference_mode in ("unregularized", "censored"):
             if self.penalty != "none":
                 raise ConfigError(

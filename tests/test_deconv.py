@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from sindex import deconv
 from sindex.debias import IndexEstimate
 from sindex.deconv import (
     DeconvConfig,
@@ -15,9 +16,12 @@ from sindex.deconv import (
     M0,
     KernelSpec,
     LinkEstimate,
+    _MAX_EXPONENT,
     _MAX_PANEL_NODES,
     _gauss_legendre,
-    _kernel_coefficients,
+    _kernel_exponent,
+    _kernel_panels,
+    _panel_coefficients,
     _triweight_fourier,
     deconv_kernel_eval,
     default_grid,
@@ -55,6 +59,14 @@ def test_kernel_integrates_to_one():
     xs = np.arange(-80.0, 80.0, 0.01)
     vals = deconv_kernel_eval(xs, h=0.5, varsigma=0.3)
     assert np.trapezoid(vals, xs) == pytest.approx(1.0, abs=1e-3)
+
+
+def _kernel_coefficients(h, varsigma, spec, omega):
+    """Nodes t_k and coefficients psi_k of the composite rule with
+    K(u) = sum_k psi_k cos(t_k u) for |u| <= omega, as deconv_kernel_eval
+    builds them."""
+    panels = _kernel_panels(h, varsigma, spec, omega)
+    return _panel_coefficients(panels, h, varsigma, spec)
 
 
 def _panel_reference(spec, c, nodes=1024):
@@ -179,12 +191,61 @@ def test_nw_sums_match_long_double_rule(spec, n):
 def test_kernel_overflow_error():
     with pytest.raises(KernelOverflowError):
         deconv_kernel_eval(0.0, h=0.01, varsigma=1.0)
+    # An exponent past the largest float is an overflow too, not a bare
+    # OverflowError from the node count.
+    with pytest.raises(KernelOverflowError):
+        deconv_kernel_eval(0.0, h=1e-100, varsigma=1e150)
+    w = np.linspace(-1.0, 1.0, 20)
+    with pytest.raises(KernelOverflowError):
+        nw_deconv_grid(IndexEstimate(w, 1.0), w, 0.01, DeconvConfig())
+    # A NaN bandwidth is bad input, not an overflow.
+    with pytest.raises(ConfigError, match="bandwidth must be positive"):
+        nw_deconv_grid(IndexEstimate(w, 1.0), w, np.nan, DeconvConfig())
 
 
 def test_bandwidth_fixed_passthrough():
     assert select_bandwidth(100, 0.5, mode="fixed", h=0.37) == 0.37
     with pytest.raises(ConfigError):
         select_bandwidth(100, 0.5, mode="fixed", h=None)
+
+
+def test_fixed_bandwidth_yields_to_the_theory_bandwidth_past_the_overflow_exponent(
+    monkeypatch,
+):
+    # With the guard at 8, h = 1 and varsigma = 4 sit exactly on it.
+    monkeypatch.setattr(deconv, "_MAX_EXPONENT", 8.0)
+    assert _kernel_exponent(1.0, 4.0) == 8.0
+    assert select_bandwidth(100, 4.0, "fixed", 1.0) == 1.0
+    above = np.nextafter(4.0, np.inf)
+    assert select_bandwidth(100, above, "fixed", 1.0) == select_bandwidth(100, above)
+    assert select_bandwidth(100, above, "fixed", 1.0, c_h=0.01) == select_bandwidth(
+        100, above, c_h=0.01
+    )
+    # At the shipped guard: the last varsigma whose exponent at h = 2.5 is
+    # at most _MAX_EXPONENT keeps h, and the next float does not.
+    monkeypatch.undo()
+    varsigma = 2.5 * np.sqrt(2.0 * _MAX_EXPONENT)
+    while _kernel_exponent(2.5, varsigma) > _MAX_EXPONENT:
+        varsigma = np.nextafter(varsigma, 0.0)
+    assert select_bandwidth(250, varsigma, "fixed", 2.5) == 2.5
+    above = np.nextafter(varsigma, np.inf)
+    h = select_bandwidth(250, above, "fixed", 2.5)
+    assert h == select_bandwidth(250, above) == 1.0 / np.sqrt(0.45 / above ** 2 * np.log(250))
+    # The theory bandwidth keeps the kernel within its guard.
+    assert _kernel_exponent(h, above) < np.log(250) / 4.0
+
+
+@pytest.mark.parametrize("varsigma", [np.inf, np.nan])
+@pytest.mark.parametrize("mode, h", [("fixed", 2.5), ("theory", None)])
+def test_non_finite_noise_scale_overflows_the_kernel(mode, h, varsigma):
+    w = np.linspace(-1.0, 1.0, 20)
+    config = DeconvConfig(bandwidth_mode=mode, h=h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KernelOverflowError):
+            select_bandwidth(100, varsigma, mode, h)
+        with pytest.raises(KernelOverflowError):
+            estimate_link(IndexEstimate(w, varsigma ** 2), w, config)
 
 
 def test_bandwidth_theory_formula():

@@ -205,8 +205,9 @@ def test_effective_variance_forms():
     assert effective_variance_oracle(beta, beta) == pytest.approx(0.0, abs=1e-12)
     assert effective_variance_oracle(2 * beta, beta) == pytest.approx(1.0)
     assert effective_variance_estimated(2.0, 1.0) == pytest.approx(0.25)
-    with pytest.raises(DegenerateError):
-        effective_variance_estimated(0.0, 1.0)
+    for mu_hat, sigma2_hat in ((0.0, 1.0), (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0)):
+        with pytest.raises(DegenerateError):
+            effective_variance_estimated(mu_hat, sigma2_hat)
 
 
 def test_joint_transform_whitens_precision_block():

@@ -1,6 +1,7 @@
 """Data splitting and end-to-end pipeline runs."""
 
 import glob
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sindex
-from sindex.deconv import KERNELS, DeconvConfig
+from sindex import experiments
+from sindex.deconv import KERNELS, DeconvConfig, _MAX_EXPONENT, _kernel_exponent, select_bandwidth
 from sindex.errors import ConfigError, NonConvergenceError, PipelineError, SplitError
 from sindex.experiments import FIGURE3_CONFIG, TABLE1_CONFIG, _map_reps, _simulate
 from sindex.models import (
@@ -261,6 +263,26 @@ def test_refit_converges_where_full_steps_cycled(model, n, p, seedseq, config):
     report = run_pipeline(Dataset(x, y), config, design=design)
     assert report.coef.converged
     assert report.coef.iterations < 50
+
+
+def test_fixed_bandwidth_yields_where_its_kernel_would_overflow():
+    # figure3 replication 224 at seed 1: a degenerate ridge pilot (mu about
+    # 0.002) puts varsigma^2 near 28,670, past what h = 2.5 tolerates.  The
+    # fit takes the theory bandwidth and matches a fit configured with it.
+    config = experiments.FIGURE3_CONFIG
+    seedseq = np.random.SeedSequence(1).spawn(300)[224]
+    x, y, _, design = _simulate("cloglog", 250, 500, "uniform-sphere", seedseq)
+    report = run_pipeline(Dataset(x, y), config, design=design)
+    varsigma = np.sqrt(report.index.varsigma2)
+    assert _kernel_exponent(config.deconv.h, varsigma) > _MAX_EXPONENT
+    assert report.link.h == select_bandwidth(250, varsigma)
+    theory = replace(config.deconv, bandwidth_mode="theory", h=None)
+    expected = run_pipeline(Dataset(x, y), replace(config, deconv=theory), design=design)
+    doc, ref = report.to_dict(), expected.to_dict()
+    for stage in ("link", "coef", "inference"):
+        assert json.dumps(doc[stage]) == json.dumps(ref[stage]), stage
+    # The report keeps the bandwidth that was asked for.
+    assert doc["config"]["deconv"]["bandwidth"] == {"mode": "fixed", "h": 2.5, "c_h": None}
 
 
 def test_stage_labels_on_errors():
