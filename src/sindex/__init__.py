@@ -4,9 +4,9 @@ debiased index, deconvolution link estimation with monotonization,
 surrogate-loss coefficient fitting, and inferential-parameter estimation
 in the proportional regime."""
 
-from .debias import IndexEstimate, debias_index, index_zscores
 from .deconv import (
     DeconvConfig,
+    IndexEstimate,
     KernelSpec,
     LinkEstimate,
     TRIWEIGHT_KERNEL,
@@ -60,8 +60,10 @@ from .models import (
 from .pilot import (
     Adjustments,
     PilotFit,
+    debias_index,
     fit_pilot,
     glm_mle_fit,
+    index_zscores,
     least_squares_fit,
     observable_adjustments,
 )

@@ -28,7 +28,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .debias import debias_index, index_zscores
 from .deconv import KERNELS, DeconvConfig, estimate_link
 from .errors import ConfigError
 from .inference import effective_variance_oracle
@@ -40,7 +39,7 @@ from .models import (
     sample_coefficients,
     sample_design,
 )
-from .pilot import fit_pilot, least_squares_fit
+from .pilot import debias_index, fit_pilot, index_zscores, least_squares_fit
 from .pipeline import PipelineConfig, SplitConfig, _fill, check_seed, run_pipeline
 
 #: Replications per experiment: (desk scale, paper scale).
@@ -204,12 +203,6 @@ def _run_groups(fn, groups, reps: int, jobs: int) -> List[list]:
     return [results[i:i + reps] for i in range(0, len(tasks), reps)]
 
 
-def _with_split_seed(config: PipelineConfig, seedseq) -> PipelineConfig:
-    """config with its split seed drawn from seedseq."""
-    seed = int(seedseq.generate_state(1)[0])
-    return replace(config, split=replace(config.split, seed=seed))
-
-
 def _ks_distance(values) -> float:
     """Kolmogorov-Smirnov distance of the sample from N(0, 1): the
     statistic of scipy's two-sided `kstest(values, "norm")`, with the same
@@ -252,6 +245,16 @@ def _simulate(model_name, n, p, scheme, seedseq, design=None):
     return x, y, beta, design
 
 
+def _replicate(model_name, n, p, scheme, config, seedseq, design=None):
+    """One pipeline replication: the data from child 0 of seedseq (drawn by
+    _simulate), the split seed from child 1; returns (X, y, beta, report)."""
+    s_data, s_split = _children(seedseq, 2)
+    x, y, beta, design = _simulate(model_name, n, p, scheme, s_data, design)
+    seed = int(s_split.generate_state(1)[0])
+    config = replace(config, split=replace(config.split, seed=seed))
+    return x, y, beta, run_pipeline(Dataset(x, y), config, design=design)
+
+
 # ---------------------------------------------------------------------------
 # figure1: index normality
 # ---------------------------------------------------------------------------
@@ -264,7 +267,7 @@ FIGURE1_DEFAULT_SHAPE = (500, 200)
 def _figure1_rep(model_name, n, p, pilot_kind, seedseq) -> float:
     x, y, beta, _ = _simulate(model_name, n, p, "uniform-sphere", seedseq)
     pilot = fit_pilot(x, y, pilot_kind)
-    est = debias_index(x, y, pilot)
+    est = debias_index(pilot)
     return float(index_zscores(est, x, beta, pilot)[0])
 
 
@@ -312,7 +315,7 @@ FIGURE2_NS = ((64, 128, 256, 512), (32, 64, 128, 256, 512, 1024))
 def _figure2_rep(model_name, n, p, pilot_kind, seedseq) -> float:
     x, y, beta, _ = _simulate(model_name, n, p, "uniform-sphere", seedseq)
     pilot = fit_pilot(x, y, pilot_kind)
-    est = debias_index(x, y, pilot)
+    est = debias_index(pilot)
     link = estimate_link(est, y, DeconvConfig())
     truth = model_lookup(model_name).link(link.grid)
     return float(np.mean((link.values - truth) ** 2))
@@ -374,10 +377,7 @@ FIGURE3_CONFIG = PipelineConfig(
 
 
 def _figure3_rep(model_name, n, p, config, scheme, seedseq) -> tuple:
-    s_data, s_split = _children(seedseq, 2)
-    x, y, beta, design = _simulate(model_name, n, p, scheme, s_data)
-    config = _with_split_seed(config, s_split)
-    report = run_pipeline(Dataset(x, y), config, design=design)
+    _, _, beta, report = _replicate(model_name, n, p, scheme, config, seedseq)
     inf = report.inference
     t1 = float(
         np.sqrt(p) * (report.coef.beta[0] - inf.mu_hat * beta[0]) / np.sqrt(inf.sigma2_hat)
@@ -451,9 +451,8 @@ TABLE1_CONFIG = PipelineConfig(
 def _table1_rep(model_name, n, p, pilot_kind, seedseq) -> dict:
     """Effective variance of least squares, of the pipeline's pilot (when
     it is not least squares) and of the refit, in that order."""
-    (s_data,) = _children(seedseq, 1)
-    x, y, beta, _ = _simulate(model_name, n, p, "uniform-sphere", s_data)
-    report = run_pipeline(Dataset(x, y), replace(TABLE1_CONFIG, pilot_kind=pilot_kind))
+    config = replace(TABLE1_CONFIG, pilot_kind=pilot_kind)
+    x, y, beta, report = _replicate(model_name, n, p, "uniform-sphere", config, seedseq)
     ls = report.pilot.beta if pilot_kind == "ls" else least_squares_fit(x, y)
     fits = {"ls": ls, pilot_kind: report.pilot.beta, "proposed": report.coef.beta}
     return {kind: effective_variance_oracle(b, beta) for kind, b in fits.items()}
@@ -486,10 +485,7 @@ def table1(spec: ExperimentSpec) -> tuple:
 
 
 def _custom_rep(model_name, n, p, scheme, design, config, seedseq) -> tuple:
-    s_data, s_split = _children(seedseq, 2)
-    x, y, beta, _ = _simulate(model_name, n, p, scheme, s_data, design)
-    rep_config = _with_split_seed(config, s_split)
-    report = run_pipeline(Dataset(x, y), rep_config, design=design)
+    _, _, beta, report = _replicate(model_name, n, p, scheme, config, seedseq, design)
     ev = effective_variance_oracle(report.coef.beta, beta)
     return report.inference.mu_hat, report.inference.sigma2_hat, ev
 

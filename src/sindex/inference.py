@@ -78,8 +78,9 @@ def adjust_inferential(
     needs lam = 0, clamps z to [lo, hi] inside every norm and weight.
     gram, a Gram of x, supplies the trace's Gram matrix; pass the refit's.
     """
-    if lam < 0:
-        raise ConfigError("lambda must be nonnegative")
+    # Negated, so that nan fails it too.
+    if not 0.0 <= lam < np.inf:
+        raise ConfigError(f"lambda must be finite and nonnegative, not {lam}")
     n = x.shape[0]
     z = x @ beta_hat
     if window is not None:

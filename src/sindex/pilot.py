@@ -1,11 +1,12 @@
-"""Pilot estimators and their observable adjustments.
+"""Pilot estimators, their observable adjustments and the debiased index.
 
 Four pilots: ridge, least squares, and the logistic / Poisson MLEs.  Each
 comes with the data-computable adjustment quantities (v, gamma, mu, sigma^2)
 that calibrate the debiased index estimator in the proportional regime.
 One table, PILOT_LINKS, gives each kind's working link, and one formula,
 observable_adjustments, gives the adjustments for every pilot and for the
-refit's inferential parameters.
+refit's inferential parameters.  The pilot fit keeps its indices and score
+residual, from which debias_index forms the index.
 """
 
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from scipy.linalg import LinAlgError
 from ._linalg import (
     Gram, adjustment_trace, cho_factor, cho_inverse, cho_solve, weighted_gram
 )
+from .deconv import IndexEstimate
 from .errors import (
     ConfigError,
     DegenerateError,
@@ -58,10 +60,14 @@ class Adjustments:
 
 @dataclass(frozen=True)
 class PilotFit:
+    """A pilot b, its adjustments, indices z = X b and score psi = y - g(z)."""
+
     beta: np.ndarray
     kind: str
     lam: Optional[float]
     adjustments: Adjustments
+    indices: np.ndarray
+    score: np.ndarray
 
 
 def _ridge_solve(x, y, lam, gram):
@@ -214,4 +220,28 @@ def fit_pilot(
     if kind in MLE_FAMILY:
         v = adjustment_trace(x, weights, 0.0, gram) / n
     adj = observable_adjustments(y, beta, z, fitted, v, lam or 0.0)
-    return PilotFit(beta=beta, kind=kind, lam=lam, adjustments=adj)
+    return PilotFit(beta, kind, lam, adj, indices=z, score=y - fitted)
+
+
+def debias_index(pilot: PilotFit) -> IndexEstimate:
+    """W_i = mu^{-1} (z_i - gamma psi_i) from the pilot's indices z and score
+    psi, with noise ratio sigma^2 / mu^2.  psi is the score of the pilot's own
+    loss, so mu (W - X beta) / sigma stays standard normal for every kind."""
+    adj = pilot.adjustments
+    # Negated, so that nan fails them too.
+    if not 0.0 < adj.mu < np.inf:
+        raise DegenerateError(f"pilot adjustment mu = {adj.mu}; the index is undefined")
+    if not np.isfinite(adj.sigma2):
+        raise DegenerateError(f"pilot adjustment sigma^2 = {adj.sigma2} is not finite")
+    w = (pilot.indices - adj.gamma * pilot.score) / adj.mu
+    return IndexEstimate(w=w, varsigma2=adj.sigma2 / adj.mu ** 2)
+
+
+def index_zscores(
+    est: IndexEstimate, x: np.ndarray, beta: np.ndarray, pilot: PilotFit
+) -> np.ndarray:
+    """Simulation diagnostic mu (W - X beta) / sigma against the true beta."""
+    adj = pilot.adjustments
+    if not 0.0 < adj.sigma2 < np.inf:
+        raise DegenerateError(f"pilot adjustment sigma^2 = {adj.sigma2}; no z-scores")
+    return adj.mu * (est.w - x @ beta) / np.sqrt(adj.sigma2)

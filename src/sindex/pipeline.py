@@ -13,12 +13,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ._linalg import Gram
-from .debias import IndexEstimate, debias_index
-from .deconv import DeconvConfig, LinkEstimate, estimate_link
+from .deconv import DeconvConfig, IndexEstimate, LinkEstimate, estimate_link
 from .errors import ConfigError, PipelineError, SindexError, SplitError
 from .inference import InferenceReport, adjust_inferential, marginal_inference
 from .models import Dataset, DesignSpec
-from .pilot import PilotFit, check_pilot, fit_pilot
+from .pilot import PilotFit, check_pilot, debias_index, fit_pilot
 from .surrogate import CoefFit, fit_coefficients
 
 
@@ -301,7 +300,7 @@ def run_pipeline(
     with _stage("pilot"):
         pilot = fit_pilot(x, y, config.pilot_kind, config.pilot_lam, gram)
     with _stage("index"):
-        index = debias_index(x, y, pilot)
+        index = debias_index(pilot)
     with _stage("link"):
         link = estimate_link(index, y, config.deconv)
     if not no_split:

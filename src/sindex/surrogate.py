@@ -139,8 +139,9 @@ def fit_coefficients(
     diagnostics-carrying error when max_iter iterations run out.
     """
     n, p = x.shape
-    if lam < 0:
-        raise ConfigError("ridge lambda must be nonnegative")
+    # Negated, so that nan fails it too.
+    if not 0.0 <= lam < np.inf:
+        raise ConfigError(f"ridge lambda must be finite and nonnegative, not {lam}")
     if lam == 0 and n <= p:
         raise ConfigError(
             "unpenalized fitting needs n > p; use the ridge penalty instead"

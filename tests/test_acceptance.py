@@ -13,8 +13,7 @@ from scipy.special import expit
 
 import sindex as sx
 from sindex._linalg import adjustment_trace
-from sindex.debias import IndexEstimate
-from sindex.deconv import DeconvConfig, default_grid
+from sindex.deconv import DeconvConfig, IndexEstimate, default_grid
 from sindex.models import (
     CLOGLOG_LINK,
     Dataset,

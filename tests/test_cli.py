@@ -335,6 +335,17 @@ def test_no_module_catches_a_failed_pipeline_or_kernel():
     assert found == []
 
 
+def test_only_the_pilot_module_reads_the_pilot_links():
+    # The pilot fit evaluates its kind's working link once and keeps the
+    # indices and score residual; every later step takes them from the fit.
+    readers = {
+        module
+        for module, text in _sources().items()
+        if "PILOT_LINKS" in _references(ast.parse(text))
+    }
+    assert readers == {"pilot.py"}
+
+
 @pytest.mark.parametrize("name", sorted(_CHOLESKY))
 def test_one_cholesky_object_under_every_name(name):
     # The benchmark's tracer counts factorizations where pilot, surrogate

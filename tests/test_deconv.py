@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from sindex import deconv
-from sindex.debias import IndexEstimate
 from sindex.deconv import (
     DeconvConfig,
+    IndexEstimate,
     KERNELS,
     M0,
     KernelSpec,

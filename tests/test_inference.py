@@ -80,6 +80,14 @@ def test_censored_window_validation():
         adjust_inferential(*args, -0.1)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_adjustment_penalty_must_be_finite(lam):
+    # Unrefused, a nan lambda would return (nan, nan) without an error.
+    x = np.random.default_rng(607).standard_normal((10, 2))
+    with pytest.raises(ConfigError, match="finite and nonnegative"):
+        adjust_inferential(x, np.ones(10), np.zeros(2), IDENTITY_LINK, lam)
+
+
 def test_unregularized_identity_reproduces_ls_pilot_adjustments():
     # Every pilot's adjustments are adjust_inferential's at its fitted beta,
     # with the pilot's canonical link and ridge level: exactly for the MLE

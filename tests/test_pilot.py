@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.special import expit
 
 from sindex._linalg import adjustment_trace
-from sindex.debias import debias_index
 from sindex.deconv import DeconvConfig, estimate_link
 from sindex.errors import (
     ConfigError,
@@ -23,6 +22,7 @@ from sindex.pilot import (
     MLE_FAMILY,
     PILOT_KINDS,
     PILOT_LINKS,
+    debias_index,
     fit_pilot,
     glm_mle_fit,
     least_squares_fit,
@@ -143,7 +143,7 @@ def test_glm_objective_monotone_on_accepted_steps():
     x, y, _, _ = _simulate(
         "cloglog", 250, 500, "uniform-sphere", np.random.SeedSequence(1).spawn(300)[195]
     )
-    index = debias_index(x, y, fit_pilot(x, y, "ridge", 1.0))
+    index = debias_index(fit_pilot(x, y, "ridge", 1.0))
     link = estimate_link(index, y, DeconvConfig(bandwidth_mode="fixed", h=2.5))
     path, _ = _objective_path(x, y, link, 0.1, range(30, 41))
     assert all(b <= a + 1e-9 for a, b in zip(path, path[1:]))
@@ -383,7 +383,8 @@ def counting(link, calls):
 
 def test_adjustments_evaluate_the_link_once(monkeypatch):
     # The MLE pilot's adjustments and the refit's inferential adjustments
-    # each take g' for the trace and g for the formula from one evaluation.
+    # each take g' for the trace and g for the formula from one evaluation,
+    # and the debiased index takes the pilot's score from that one too.
     x = rng.standard_normal((120, 6))
     beta = 0.3 * rng.normal(size=6)
     y = (rng.random(120) < expit(x @ beta)).astype(float)
@@ -391,8 +392,10 @@ def test_adjustments_evaluate_the_link_once(monkeypatch):
     plain = fit_pilot(x, y, "logit-mle")
     monkeypatch.setitem(PILOT_LINKS, "logit-mle", counting(LOGISTIC_LINK, calls))
     counted = fit_pilot(x, y, "logit-mle")
+    index = debias_index(counted)
     assert np.array_equal(counted.beta, plain.beta)
     assert counted.adjustments == plain.adjustments
+    assert np.array_equal(index.w, debias_index(plain).w)
     assert calls == ["logistic"]
     for lam, window in ((0.2, None), (0.0, (-0.5, 0.5))):
         calls.clear()

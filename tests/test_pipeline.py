@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import sindex
 from sindex import experiments
-from sindex.deconv import KERNELS, DeconvConfig, _MAX_EXPONENT, _kernel_exponent, select_bandwidth
+from sindex.deconv import DeconvConfig, _MAX_EXPONENT, _kernel_exponent, select_bandwidth
 from sindex.errors import ConfigError, NonConvergenceError, PipelineError, SplitError
 from sindex.experiments import FIGURE3_CONFIG, TABLE1_CONFIG, _map_reps, _simulate
 from sindex.models import (
@@ -231,28 +231,16 @@ def test_no_split_matches_manual_full_index():
     assert report.kappa1 == report.kappa2 == data.p / data.n
 
 
-#: figure3's and table1's pipeline configurations.
-FIGURE3_CONFIG = PipelineConfig(
-    deconv=DeconvConfig(bandwidth_mode="fixed", h=2.5), split=SplitConfig(no_split=True)
-)
-TABLE1_CONFIG = PipelineConfig(
-    pilot_kind="logit-mle",
-    pilot_lam=None,
-    deconv=DeconvConfig(kernel=KERNELS["flattop"]),
-    penalty="none",
-    penalty_lam=0.0,
-    inference_mode="unregularized",
-    split=SplitConfig(no_split=True),
-)
-
-
 @pytest.mark.parametrize(
     "model,n,p,seedseq,config",
     [
         # figure3 replication 195 at seed 1: near-degenerate ridge pilot.
         ("cloglog", 250, 500, np.random.SeedSequence(1).spawn(300)[195], FIGURE3_CONFIG),
-        # table1 replication 73 at seed 33.
-        ("logit", 2000, 50, np.random.SeedSequence(33).spawn(74)[73].spawn(2)[0], TABLE1_CONFIG),
+        # table1 replication 73 at seed 33, with the logit model's MLE pilot.
+        (
+            "logit", 2000, 50, np.random.SeedSequence(33).spawn(74)[73].spawn(2)[0],
+            replace(TABLE1_CONFIG, pilot_kind="logit-mle"),
+        ),
     ],
     ids=["figure3-195", "table1-33-73"],
 )
@@ -382,7 +370,7 @@ def test_report_names_the_grid_the_fit_used():
 )
 def test_module_imports_first_in_fresh_interpreter(module):
     # Guards against import cycles that only show for one import order.
-    done = _run_fresh(f"import sindex.{module}; from sindex.debias import IndexEstimate")
+    done = _run_fresh(f"import sindex.{module}; from sindex.pilot import debias_index")
     assert done.returncode == 0, done.stderr
 
 

@@ -7,8 +7,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import cumulative_trapezoid
 from scipy.special import expit
 
-from sindex.debias import IndexEstimate
-from sindex.deconv import DeconvConfig, build_antiderivative, estimate_link
+from sindex.deconv import DeconvConfig, IndexEstimate, build_antiderivative, estimate_link
 from sindex.errors import ConfigError
 from sindex.models import (
     CLOGLOG_LINK,
@@ -183,6 +182,16 @@ def test_penalty_validation():
         fit_coefficients(x[:3], y[:3], IDENTITY_LINK, 0.0)
     with pytest.raises(ConfigError):
         fit_coefficients(x[:2], y[:2], IDENTITY_LINK, 0.0)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_penalty_must_be_finite(lam):
+    # nan fails every comparison, so only a negated range test refuses it
+    # before the solver; an infinite lambda gives no objective to minimize.
+    local = np.random.default_rng(406)
+    x, y = local.standard_normal((20, 3)), local.standard_normal(20)
+    with pytest.raises(ConfigError, match="finite and nonnegative"):
+        fit_coefficients(x, y, IDENTITY_LINK, lam)
 
 
 def test_row_permutation_invariance():
