@@ -23,33 +23,38 @@ def ingest_csv(path, response: str) -> Dataset:
     """Read a numeric CSV into a Dataset; the named column is the response,
     the remaining columns become the design matrix in file order.  Each
     row becomes floats as it is read."""
-    if not os.path.exists(path):
-        raise DataError(f"no such file: {path}")
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty") from None
-        if response not in header:
-            raise DataError(
-                f"response column {response!r} not found; file has {header}"
-            )
-        if header.count(response) > 1:
-            raise DataError(f"response column {response!r} is named more than once")
-        y_col = header.index(response)
-        # Each row's cells go straight into x and y, which double in place
-        # (a realloc) when full, so that no cell is held twice while reading.
-        x, y = np.empty((0, len(header) - 1)), np.empty(0)
-        rows = 0
-        for line_no, row in enumerate(reader, start=2):
-            if rows == len(y):
-                x.resize((2 * rows + 64, x.shape[1]), refcheck=False)
-                y.resize(2 * rows + 64, refcheck=False)
-            cells = _parse_row(path, header, line_no, row)
-            x[rows, :y_col], x[rows, y_col:] = cells[:y_col], cells[y_col + 1 :]
-            y[rows] = cells[y_col]
-            rows += 1
+    try:
+        with open(path, newline="") as handle:
+            reader = csv.reader(handle)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path} is empty") from None
+            if response not in header:
+                raise DataError(
+                    f"response column {response!r} not found; file has {header}"
+                )
+            if header.count(response) > 1:
+                raise DataError(f"response column {response!r} is named more than once")
+            y_col = header.index(response)
+            # Each row's cells go straight into x and y, which double in place
+            # (a realloc) when full, so that no cell is held twice while reading.
+            x, y = np.empty((0, len(header) - 1)), np.empty(0)
+            rows = 0
+            for line_no, row in enumerate(reader, start=2):
+                if rows == len(y):
+                    x.resize((2 * rows + 64, x.shape[1]), refcheck=False)
+                    y.resize(2 * rows + 64, refcheck=False)
+                cells = _parse_row(path, header, line_no, row)
+                x[rows, :y_col], x[rows, y_col:] = cells[:y_col], cells[y_col + 1 :]
+                y[rows] = cells[y_col]
+                rows += 1
+    except FileNotFoundError:
+        raise DataError(f"no such file: {path}") from None
+    except OSError as err:  # a directory, or no permission
+        raise DataError(f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path} is not UTF-8 text: {err}") from None
     if not rows:
         raise DataError(f"{path} has a header but no data rows")
     x.resize((rows, x.shape[1]), refcheck=False)
@@ -250,6 +255,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        out = os.path.abspath(args.out)
+        while not os.path.exists(out):  # up to the nearest existing path
+            out = os.path.dirname(out)
+        if not os.path.isdir(out):
+            raise ConfigError(f"--out {args.out}: {out} is not a directory")
         return args.func(args)
     except SindexError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -13,14 +13,14 @@ for flat-top, where its taper starts), so every panel integrates a smooth
 function.  Each panel's node count comes from the largest phase the sums
 see, omega = max |x - W| / h, and from the exponent c = M0^2 varsigma^2 /
 (2 h^2), by a rule measured to keep the sums within 1e-11 of the exact
-integral (`_panel_nodes`).  All grid sums are evaluated through the cosine
-addition identity, which turns the kernel sums into a fixed-order inner
-product over quadrature nodes: per node, sums of cos(t W / h) and
-sin(t W / h) over the data, mixed per grid point.  Gauss-Legendre nodes are
-symmetric about each panel's midpoint m, so the nodes m -+ d pair up and
-their data sums follow from the waves of m and of the offsets d alone;
-panels of equal length share the offsets.  The data-side trig work is one
-wave per panel and one per pair of nodes, not one per node.
+integral (`_panel_nodes`).  The kernel is a sum of waves
+exp(i t (x - W) / h) over the quadrature nodes t, so the data enter the
+grid sums only through Z(t) = sum_i (y_i, 1) exp(i t W_i / h), and each
+grid value is Re(exp(-i t x / h) Z(t)) summed over nodes.  Gauss-Legendre
+nodes are symmetric about each panel's midpoint m, and
+exp(i (m -+ d) W) = exp(i m W) (cos dW -+ i sin dW), so the sums at the
+nodes m -+ d follow from one wave per panel midpoint and one per offset d,
+not one per node; panels of equal length share the offsets.
 
 A running maximum or the rearrangement, which sorts the values of an
 equispaced grid (Chernozhukov, Fernandez-Val and Galichon, 2009), makes the
@@ -28,6 +28,7 @@ grid values monotone.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
@@ -392,11 +393,12 @@ def nw_deconv_grid(
     masked: their value is NaN.
 
     The kernel is the quadrature sum of `_panel_coefficients`, so both
-    sums are inner products over nodes t_k of per-node data sums, such as
-    sum_i y_i cos(t_k W_i / h), with the grid waves cos(t_k x / h) and
-    sin(t_k x / h).  The data sums are built per panel from the pairs
-    t = m -+ d of its symmetric Gauss-Legendre nodes, through the angle
-    sum formulas, from the waves of m and d instead of those of each node.
+    sums are sum_k psi_k Re(exp(-i t_k x / h) Z(t_k)) with the data sums
+    Z(t) = sum_i (y_i, 1) exp(i t W_i / h): inner products of the grid
+    waves cos(t_k x / h) and sin(t_k x / h) with Re Z and Im Z.  Each
+    panel's symmetric nodes pair up as t = m -+ d, and Z(m -+ d) = C -+ iS
+    with C and S the sums of the midpoint waves exp(i m W_i / h) weighted
+    by cos(d W_i / h) and sin(d W_i / h).
     """
     w = np.asarray(index.w, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -407,42 +409,27 @@ def nw_deconv_grid(
     varsigma = float(np.sqrt(index.varsigma2))
     panels = _kernel_panels(h, varsigma, config.kernel, omega)
     t, psi = _panel_coefficients(panels, h, varsigma, config.kernel)
-    # Data side.  A panel's nodes are m -+ d_j, so with c = cos, s = sin:
-    #   c((m -+ d)W) = c(mW)c(dW) +- s(mW)s(dW),
-    #   s((m -+ d)W) = s(mW)c(dW) -+ c(mW)s(dW),
-    # and the per-node sums of y c, c, y s and s over the data come from
-    # products of the offset waves c(dW), s(dW) with the midpoint waves.
-    # Panels of equal length and node count share their offsets.
-    rows, offsets, n_off = {}, [], 0
-    for _, r, x, _ in panels:
-        if (r, len(x)) not in rows:
-            half = len(x) // 2
-            rows[r, len(x)] = slice(n_off, n_off + half)
-            offsets.append(r * x[half:])
-            n_off += half
-    freq = np.concatenate((*offsets, [m for m, *_ in panels])) / h
-    arg = np.multiply.outer(freq, w)
-    cos_w, sin_w = np.cos(arg), np.sin(arg)
-    cos_m, sin_m = cos_w[n_off:], sin_w[n_off:]
-    # Midpoint waves in blocks of one row per panel: y c, c, y s, s, y c, c.
-    # The first four blocks against c(dW) give cc = sum (y c, c, y s, s)(mW)
-    # c(dW); the last four against s(dW) give ss = sum (y s, s, y c, c)(mW)
-    # s(dW), whose first half is negated so that cc + ss holds the sums at
-    # m + d and cc - ss those at m - d.
-    y_cos = cos_m * y
-    waves = np.concatenate((y_cos, cos_m, sin_m * y, sin_m, y_cos, cos_m))
-    q = 2 * len(panels)
-    cc = cos_w[:n_off] @ waves[:2 * q].T
-    ss = sin_w[:n_off] @ waves[q:].T
-    ss[:, :q] *= -1.0
-    upper, lower = cc + ss, cc - ss
-    # Nodes in the order of t: each panel's m - d reversed, then its m + d.
-    sums = []
+    # Data side: Z(m -+ d) = C -+ iS.  The midpoint waves go to BLAS as
+    # real rows (re, im), each product is read back as complex, and the
+    # offsets of all distinct rules share one product: BLAS rounds by the
+    # operands' shape and layout, which fix the bytes.
+    arg = np.multiply.outer([[m / h] for m, *_ in panels], w)
+    wave = np.concatenate((np.cos(arg), np.sin(arg)), axis=1)
+    rows = np.concatenate((wave * y, wave)).reshape(-1, len(w))
+    rules = {(r, len(x)): r * x[len(x) // 2:] for _, r, x, _ in panels}
+    arg = np.multiply.outer(np.concatenate(list(rules.values())) / h, w)
+    c = (np.cos(arg) @ rows.T).view(complex)
+    i_s = 1j * (np.sin(arg) @ rows.T).view(complex)
+    lower, upper = c - i_s, c + i_s  # Z at m - d and m + d
+    ends = [0, *itertools.accumulate(len(d) for d in rules.values())]
+    block = dict(zip(rules, map(slice, ends, ends[1:])))  # each rule's rows
+    sums = []  # Z(t) of y and of 1, in the order of t
     for p, (_, r, x, _) in enumerate(panels):
-        sl, cols = rows[r, len(x)], slice(p, None, len(panels))
-        sums += [lower[sl, cols][::-1], upper[sl, cols]]
-    sums = psi[:, None] * np.concatenate(sums)  # columns y c, c, y s, s
-    # Grid side: cos(a(x - W)) = cos(ax)cos(aW) + sin(ax)sin(aW).
+        b, cols = block[r, len(x)], slice(p, None, len(panels))
+        sums += [lower[b][::-1, cols], upper[b][:, cols]]
+    sums = np.concatenate(sums)
+    sums = psi[:, None] * np.concatenate((sums.real, sums.imag), axis=1)  # Re Z, Im Z
+    # Grid side: Re(exp(-itx/h) Z(t)) = cos(tx/h) Re Z + sin(tx/h) Im Z.
     arg_x = np.multiply.outer(grid, t / h)
     num, den = (np.cos(arg_x) @ sums[:, :2] + np.sin(arg_x) @ sums[:, 2:]).T
     valid = np.abs(den) >= _DENOM_TOL * len(w)

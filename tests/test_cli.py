@@ -17,7 +17,7 @@ from scipy.stats import kstest
 import sindex
 from sindex import cli, experiments
 from sindex.cli import _build_parser, _load_config, dataset_to_csv, ingest_csv, main
-from sindex.errors import DataError
+from sindex.errors import ConfigError, DataError
 from sindex.experiments import ExperimentSpec, _simulate, run_experiment
 from sindex import _linalg, pilot, pipeline, surrogate
 from sindex.inference import effective_variance_oracle
@@ -95,6 +95,98 @@ def test_ingest_reports_a_bad_row_deep_in_the_file(tmp_path, bad_line, cells, me
     data = ingest_csv(path, "y")
     assert data.x.shape == (3000, 2) and data.x.flags.c_contiguous
     assert data.x[0].tolist() == [2.0, 2.5] and data.y[-2] == -3000.0
+
+
+
+@pytest.mark.parametrize(
+    "text, call, message",
+    [
+        ("", lambda path: ingest_csv(path, "y"), "is empty"),
+        ("a,y\n", lambda path: ingest_csv(path, "y"), "has a header but no data rows"),
+        (None, cli._read_config, "cannot read config .*: No such file or directory"),
+    ],
+    ids=["empty", "header-only", "missing-config"],
+)
+def test_unreadable_inputs_are_config_errors(tmp_path, text, call, message):
+    path = tmp_path / "in.csv"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        call(path)
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("missing", "no such file: "),
+        ("directory", "Is a directory"),
+        ("not-utf8", "is not UTF-8 text"),
+    ],
+)
+def test_fit_data_it_cannot_read_exits_2(tmp_path, capsys, kind, message):
+    # Like --config, a --data path that cannot be read as text is a data
+    # error: exit 2 with a message, not a traceback.
+    path = tmp_path / "d.csv"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes("a,caf\xe9,y\n1,2,3\n".encode("latin-1"))
+    out = tmp_path / "fit"
+    assert main(["fit", "--data", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and str(path) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--data", None],
+        ["simulate", "--model", "cubic", "--n", "40", "--p", "4"],
+        ["experiment", "--name", "figure1", "--reps", "1"],
+    ],
+    ids=["fit", "simulate", "experiment"],
+)
+@pytest.mark.parametrize("below", ["", "sub/dir"], ids=["file", "below-a-file"])
+def test_out_naming_a_file_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, small_data, argv, below
+):
+    def work(*_args, **_kwargs):
+        raise AssertionError("the command ran before it checked --out")
+
+    for name in ("run_pipeline", "_simulate", "run_experiment"):
+        monkeypatch.setattr(cli, name, work)
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    argv = [small_data if arg is None else arg for arg in argv]
+    assert main([*argv, "--out", str(out / below)]) == 2
+    assert f"{out} is not a directory" in capsys.readouterr().err
+    assert out.read_text() == "kept\n" and os.listdir(tmp_path) == ["out"]
+
+
+def test_cli_fit_writes_what_run_pipeline_gives(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    argv = ["--model", "cubic", "--n", "200", "--p", "5", "--seed", "3"]
+    assert main(["simulate", *argv, "--out", str(sim)]) == 0
+    capsys.readouterr()
+    doc = {"pilot": {"kind": "ls", "lambda": None}, "split": {"seed": 11}}
+    cfg, out = tmp_path / "cfg.json", tmp_path / "fit"
+    cfg.write_text(json.dumps(doc))
+    data = str(sim / "data.csv")
+    assert main(["fit", "--data", data, "--config", str(cfg), "--out", str(out)]) == 0
+    report = run_pipeline(ingest_csv(data, "y"), PipelineConfig.from_dict(doc))
+    beta = report.coef.beta
+    assert capsys.readouterr().out.splitlines() == [
+        f"fit: p=5, iterations={report.coef.iterations}, "
+        f"grad_norm={report.coef.grad_norm:.2e}",
+        f"coefficient norm {np.linalg.norm(beta):.6f}",
+    ]
+    assert (out / "report.json").read_text() == report.to_json(indent=2) + "\n"
+    link = report.link
+    rows = zip(link.grid.tolist(), link.values.tolist(), link.deriv.tolist())
+    assert _read_csv(out / "link.csv") == (
+        ["x", "ghat", "ghat_deriv"], [[str(v) for v in row] for row in rows]
+    )
+    assert sorted(os.listdir(out)) == ["link.csv", "report.json"]
 
 
 def test_round_trip(tmp_path):

@@ -311,6 +311,37 @@ def test_all_invalid_raises():
         nw_deconv_grid(est, np.ones(30), 0.2, cfg)
 
 
+
+def test_estimate_link_raises_when_no_grid_value_is_in_range(monkeypatch):
+    # Values far outside the response hull are as invalid as masked ones.
+    def far(_index, _y, _h, cfg):
+        return np.full(len(cfg.grid), 1e9)
+
+    monkeypatch.setattr(deconv, "nw_deconv_grid", far)
+    est = IndexEstimate(w=np.linspace(-1.0, 1.0, 20), varsigma2=0.0)
+    with pytest.raises(EmptyEstimateError, match="no grid point carries a usable estimate"):
+        estimate_link(est, np.linspace(0.0, 1.0, 20), DeconvConfig())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: KernelSpec(_triweight_fourier, "k", breaks=(0.5, 0.5)), "increase strictly"),
+        (lambda: DeconvConfig(bandwidth_mode="auto"), "'fixed' or 'theory'"),
+        (lambda: select_bandwidth(1, 0.5), "theory bandwidth needs n >= 2"),
+        (
+            lambda: nw_deconv_grid(
+                IndexEstimate(np.zeros(3), 0.0), np.zeros(2), 1.0, DeconvConfig()
+            ),
+            "index and response lengths differ",
+        ),
+    ],
+    ids=["repeated-break", "unknown-bandwidth-mode", "theory-n-1", "length-mismatch"],
+)
+def test_deconv_rejects_bad_input(call, message):
+    with pytest.raises(ConfigError, match=message):
+        call()
+
 def test_estimate_link_monotone_with_floored_derivative():
     w = rng.standard_normal(300)
     y = np.tanh(w) + 0.2 * rng.standard_normal(300)

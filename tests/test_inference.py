@@ -218,6 +218,23 @@ def test_effective_variance_forms():
             effective_variance_estimated(mu_hat, sigma2_hat)
 
 
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: oracle_params(np.ones(3), np.zeros(3)), ConfigError, "positive Sigma-norm"),
+        (
+            lambda: effective_variance_oracle(np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+            DegenerateError,
+            "orthogonal",
+        ),
+    ],
+    ids=["oracle-beta-0", "orthogonal-estimate"],
+)
+def test_oracle_statistics_reject_degenerate_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
 def test_joint_transform_whitens_precision_block():
     rng_local = np.random.default_rng(9)
     a = rng_local.standard_normal((8, 8))

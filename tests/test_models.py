@@ -15,6 +15,8 @@ from sindex.models import (
     Dataset,
     DesignSpec,
     MODELS,
+    SimModel,
+    covariance_cholesky,
     generate_responses,
     model_lookup,
     sample_coefficients,
@@ -234,3 +236,38 @@ def test_dataset_validation():
         Dataset(np.array([[1.0, np.nan]]), np.array([1.0]))
     with pytest.raises(ConfigError):
         Dataset(np.ones((3, 2)), np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Dataset(np.ones(3), np.ones(3)), ConfigError, "n x p"),
+        (lambda: covariance_cholesky(np.ones((2, 3))), InvalidDesignError, "square"),
+        (lambda: DesignSpec.identity(0), InvalidDesignError, "dimension must be >= 1"),
+        (lambda: sample_design(0, DesignSpec.identity(2), 0), ConfigError, "at least one row"),
+        (
+            lambda: sample_coefficients(3, "uniform-sphere", DesignSpec.identity(2), 0),
+            ConfigError,
+            "dimension does not match",
+        ),
+        (
+            lambda: sample_coefficients(3, "sparse(x)", DesignSpec.identity(3), 0),
+            ConfigError,
+            "bad sparse scheme 'sparse\\(x\\)'",
+        ),
+        (
+            lambda: generate_responses(
+                np.ones((2, 1)), np.ones(1), SimModel("m", IDENTITY_LINK, "gamma"), 0
+            ),
+            ConfigError,
+            "unknown response family 'gamma'",
+        ),
+    ],
+    ids=[
+        "dataset-1d-x", "covariance-not-square", "identity-0", "design-0-rows",
+        "coefficients-wrong-p", "sparse-not-a-number", "unknown-response",
+    ],
+)
+def test_models_reject_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

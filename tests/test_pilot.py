@@ -13,10 +13,12 @@ from sindex.errors import (
     NonConvergenceError,
     NonexistenceError,
     NonIdentifiableError,
+    SolverError,
 )
 from sindex.experiments import _simulate
 from sindex.inference import adjust_inferential
 from sindex.models import LOGISTIC_LINK, DesignSpec, LinkFunction, generate_responses, model_lookup, sample_coefficients, sample_design
+from sindex import pilot
 from sindex.pilot import (
     GLM_LINKS,
     MLE_FAMILY,
@@ -164,6 +166,47 @@ def test_glm_family_validation():
         glm_mle_fit(np.ones((3, 1)), np.array([0.0, 0.5, 1.0]), "logistic")
     with pytest.raises(ConfigError):
         glm_mle_fit(np.ones((3, 1)), np.array([0.0, -1.0, 2.0]), "poisson")
+
+
+@pytest.mark.parametrize(
+    "norm, error", [(2e6, NonexistenceError), (1.0, NonConvergenceError)]
+)
+def test_mle_nonconvergence_is_reraised_unless_the_iterate_diverged(
+    monkeypatch, norm, error
+):
+    # A Newton fit that runs out of iterations far out means no maximizer;
+    # near the origin it is passed on as it was raised.
+    rng = np.random.default_rng(8)
+    x, y = rng.standard_normal((30, 2)), rng.poisson(1.0, 30).astype(float)
+    beta = np.array([norm, 0.0])
+    failure = NonConvergenceError("stalled", iterations=3, grad_norm=1.0, beta=beta)
+
+    def stalled(*_args, **_kwargs):
+        raise failure
+
+    monkeypatch.setattr(pilot, "fit_coefficients", stalled)
+    with pytest.raises(error) as info:
+        glm_mle_fit(x, y, "poisson")
+    assert (info.value is failure) == (error is NonConvergenceError)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda x, y: glm_mle_fit(x, y, "probit"), ConfigError, "unknown GLM family 'probit'"),
+        # Three equal columns and a ridge lost to rounding beside X'X.
+        (
+            lambda x, y: fit_pilot(np.tile(x[:, :1], 3), y, "ridge", 1e-300),
+            SolverError,
+            "ridge system could not be factorized",
+        ),
+    ],
+    ids=["probit", "singular-ridge"],
+)
+def test_pilot_fit_failures(call, error, message):
+    rng = np.random.default_rng(9)
+    with pytest.raises(error, match=message):
+        call(rng.standard_normal((10, 2)), rng.integers(0, 2, 10).astype(float))
 
 
 def test_ridge_adjustments_hand_trace():

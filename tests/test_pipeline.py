@@ -302,6 +302,38 @@ def test_config_validation():
         PipelineConfig(penalty="lasso")
 
 
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda out: PipelineConfig(inference_mode="wald"), "unknown inference mode 'wald'"),
+        (
+            lambda out: PipelineConfig.from_dict({"deconv": {"kernel": "gaussian"}}),
+            "unknown kernel 'gaussian'",
+        ),
+        (
+            lambda out: experiments.ExperimentSpec("figure1", out, reps=0),
+            "replications must be >= 1",
+        ),
+        (
+            lambda out: experiments.custom(experiments.ExperimentSpec("custom", out, reps=1)),
+            "need a config document",
+        ),
+        (
+            lambda out: experiments.custom(
+                experiments.ExperimentSpec("custom", out, reps=1, custom_config={"model": "cubic"})
+            ),
+            "need model, n, and p",
+        ),
+    ],
+    ids=["inference-mode", "kernel", "reps-0", "custom-no-document", "custom-no-n-p"],
+)
+def test_config_and_experiment_spec_reject_bad_input(tmp_path, call, message):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=message):
+        call(str(out))
+    assert not out.exists()
+
 def test_config_round_trip():
     config = PipelineConfig(
         pilot_kind="ls",

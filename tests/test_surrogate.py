@@ -8,7 +8,12 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.special import expit
 
 from sindex.deconv import DeconvConfig, IndexEstimate, build_antiderivative, estimate_link
-from sindex.errors import ConfigError
+from sindex.errors import (
+    ConfigError,
+    NonConvergenceError,
+    ObjectiveOverflowError,
+    SolverError,
+)
 from sindex.models import (
     CLOGLOG_LINK,
     CUBIC_LINK,
@@ -192,6 +197,47 @@ def test_penalty_must_be_finite(lam):
     x, y = local.standard_normal((20, 3)), local.standard_normal(20)
     with pytest.raises(ConfigError, match="finite and nonnegative"):
         fit_coefficients(x, y, IDENTITY_LINK, lam)
+
+
+def _failing_fit(case):
+    """fit_coefficients on data and a link that make it fail as case names."""
+    local = np.random.default_rng(407)
+    x, y = local.standard_normal((20, 2)), local.standard_normal(20)
+    if case == "max-iter":
+        y = (x[:, 0] + local.standard_normal(20) > 0).astype(float)
+        return fit_coefficients(x, y, LOGISTIC_LINK, max_iter=1)
+    if case == "inf-in-x":
+        x[3, 1] = np.inf
+        return fit_coefficients(x, y, IDENTITY_LINK)
+    if case == "inf-gradient":
+        link = LinkFunction("inf-g", lambda t: (0.5 * t * t, t + np.inf, np.ones_like(t)))
+        return fit_coefficients(x, y, link)
+    if case == "no-descent":
+        # G = 1e9 |t| rises along every direction that g = t - 1 proposes.
+        link = LinkFunction("kinked", lambda t: (1e9 * np.abs(t), t - 1.0, np.ones_like(t)))
+        return fit_coefficients(x, y, link)
+    # Equal rows with p > n: S S' + ridge I has rank one plus a ridge that
+    # vanishes beside it in rounding.
+    x = np.tile(local.standard_normal(8), (3, 1))
+    link = LinkFunction("quadratic", lambda t: (0.5 * t * t, t, np.ones_like(t)))
+    return fit_coefficients(x, y[:3], link, lam=1e-300)
+
+
+@pytest.mark.parametrize(
+    "case, error, message",
+    [
+        ("max-iter", NonConvergenceError, "did not converge in 1 iterations"),
+        ("inf-in-x", ObjectiveOverflowError, "objective is non-finite"),
+        ("inf-gradient", ObjectiveOverflowError, "gradient is non-finite"),
+        ("no-descent", NonConvergenceError, "line search failed"),
+        ("singular-dual", SolverError, "Newton system is singular"),
+    ],
+)
+def test_fit_coefficients_failures(case, error, message):
+    with pytest.raises(error, match=message) as info, np.errstate(invalid="ignore"):
+        _failing_fit(case)
+    if error is NonConvergenceError:
+        assert info.value.iterations == 1
 
 
 def test_row_permutation_invariance():
