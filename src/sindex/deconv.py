@@ -470,8 +470,9 @@ def estimate_link(
     # far outside any plausible response hull; such points are as invalid as
     # masked ones (NaN fails both comparisons).  The wide margin leaves edge
     # fluctuation alone and only rejects outliers that would wreck the grid
-    # function.
-    spread = float(np.max(y) - np.min(y))
+    # function.  A constant response has no spread, and its own scale sets
+    # the margin: its estimate is that constant up to rounding.
+    spread = float(np.max(y) - np.min(y)) or float(np.max(np.abs(y)))
     lo = float(np.min(y)) - 5.0 * spread
     hi = float(np.max(y)) + 5.0 * spread
     in_range = (raw >= lo) & (raw <= hi)

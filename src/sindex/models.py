@@ -11,7 +11,7 @@ from typing import Callable, Tuple
 import numpy as np
 from scipy.special import exp1, expit
 
-from ._linalg import cho_inverse
+from ._linalg import cho_inverse_diag
 from .errors import ConfigError, GenerationError, InvalidDesignError
 
 _EULER_GAMMA = 0.5772156649015329
@@ -80,7 +80,7 @@ class DesignSpec:
     @classmethod
     def from_sigma(cls, sigma: np.ndarray) -> "DesignSpec":
         chol = covariance_cholesky(sigma)
-        theta_diag = np.diag(cho_inverse((chol.copy(), True)))
+        theta_diag = cho_inverse_diag((chol.copy(), True))
         return cls(p=len(chol), chol=chol, tau=1.0 / np.sqrt(theta_diag))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 
 from ._linalg import (
-    Gram, adjustment_trace, cho_factor, cho_inverse, cho_solve, weighted_gram
+    Gram, adjustment_trace, cho_factor, cho_inverse_diag, cho_solve, weighted_gram
 )
 from .deconv import IndexEstimate
 from .errors import (
@@ -84,7 +84,7 @@ def _ridge_solve(x, y, lam, gram):
         raise SolverError(f"ridge system could not be factorized: {err}") from err
     dual = gram.dual(c)
     beta = x.T @ cho_solve(fac, y) if dual else cho_solve(fac, x.T @ y)
-    tr_inv = np.trace(cho_inverse(fac))
+    tr_inv = np.sum(cho_inverse_diag(fac))
     # tr(I_n - X A^{-1} X') is tr(c G^{-1}) for the dual G = XX' + cI, and
     # n - p + c tr(A^{-1}) for the primal A = X'X + cI.
     v = lam * tr_inv if dual else (n - p + c * tr_inv) / n

@@ -410,6 +410,27 @@ def test_no_module_takes_cholesky_from_scipy():
     assert found == []
 
 
+#: The scipy modules that only sindex._linalg may import.
+_RAW_LINEAR_ALGEBRA = {"scipy.linalg.lapack", "scipy.linalg.blas"}
+
+
+def test_only_linalg_calls_lapack_and_blas():
+    # A factor is the lower triangle with the upper one zeroed, and only
+    # _linalg's entries know it; a raw routine elsewhere could take the
+    # wrong triangle.
+    found = []
+    for module, text in _sources().items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names] + [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            found += [(module, name) for name in names if name in _RAW_LINEAR_ALGEBRA]
+    assert {module for module, _ in found} == {"_linalg.py"}
+
+
 #: Errors that no module catches.
 _UNCAUGHT = {"PipelineError", "KernelOverflowError"}
 

@@ -360,6 +360,23 @@ def test_estimate_link_constant_response():
     assert np.allclose(link.deriv, cfg.deriv_floor)
 
 
+def test_constant_response_gives_the_constant_link():
+    # Raw values round off a constant response by an ulp or so; the range
+    # check must keep them, on a fine grid and on a 2-point one, where a
+    # rejected value could leave no usable grid point.
+    draws = np.random.default_rng(3)
+    fine = DeconvConfig(bandwidth_mode="fixed", h=0.5)
+    cases = [(IndexEstimate(draws.standard_normal(200), 0.02), fine)]
+    two = DeconvConfig(grid=default_grid(-1.0, 1.0, 2))
+    cases += [
+        (IndexEstimate(draws.standard_normal(50), float(draws.uniform(0.0, 0.5))), two)
+        for _ in range(40)
+    ]
+    for index, cfg in cases:
+        link = estimate_link(index, np.full(len(index.w), 0.1), cfg)
+        assert np.max(np.abs(link.values - 0.1)) <= 1e-12 * 0.1
+
+
 def test_estimate_link_permutation_invariant():
     w = rng.standard_normal(150)
     y = w + 0.3 * rng.standard_normal(150)

@@ -109,10 +109,11 @@ def test_cho_factor_and_solve_match_scipy_bit_for_bit(p, columns, seed):
     x = rng.standard_normal((p + 3, p))
     matrix = weighted_gram(x, rng.uniform(0.1, 2.0, p + 3), 0.01)
     rhs = rng.standard_normal(p if columns is None else (p, columns))
-    reference = scipy.linalg.cho_factor(matrix.copy(order="F"))
+    reference = scipy.linalg.cho_factor(matrix.copy(order="F"), lower=True)
     factor = _linalg.cho_factor(matrix)
-    assert np.shares_memory(factor[0], matrix) and factor[1] is reference[1] is False
-    assert np.array_equal(_bits(factor[0]), _bits(reference[0]))
+    assert np.shares_memory(factor[0], matrix) and factor[1] is reference[1] is True
+    assert np.array_equal(_bits(np.tril(factor[0])), _bits(np.tril(reference[0])))
+    assert not np.triu(factor[0], 1).any()  # the upper triangle is zeroed
     solution = _linalg.cho_solve(factor, rhs)
     assert solution.shape == rhs.shape
     assert np.array_equal(_bits(solution), _bits(scipy.linalg.cho_solve(reference, rhs)))
@@ -141,6 +142,33 @@ def test_weighted_gram_and_cho_inverse(dual):
     assert np.allclose(gram, reference, rtol=1e-13, atol=0.0)
     inv = cho_inverse(cho_factor(gram, overwrite_a=True))
     assert np.allclose(np.triu(inv), np.triu(np.linalg.inv(reference)), rtol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.integers(1, 300), st.sampled_from((63, 64, 65, 127, 128, 129, 257))),
+    st.sampled_from(("factor", "primal", "dual")),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_cho_inverse_diag_matches_the_dense_inverse(n, source, seed):
+    # The recursion halves a triangle until dtrtri takes it, so sizes on
+    # both sides of the base and odd halves must all give diag(A^{-1}).
+    # Designs twice as long as wide keep A well conditioned, so that the
+    # dense reference itself holds 1e-12.
+    rng = np.random.default_rng(seed)
+    if source == "factor":
+        x = rng.standard_normal((2 * n, n))
+        matrix = weighted_gram(x, rng.uniform(0.1, 2.0, 2 * n), 0.01)
+        reference = np.diag(np.linalg.inv(matrix))
+        diag = _linalg.cho_inverse_diag(_linalg.cho_factor(matrix))
+    else:  # the factors the traces take over, p x p and n x n
+        x = rng.standard_normal((n, 2 * n) if source == "dual" else (2 * n, n))
+        weights = rng.uniform(0.1, 2.0, len(x))
+        gram = Gram(x)
+        assert gram.dual(0.3) == (source == "dual")
+        reference = np.diag(np.linalg.inv(weighted_gram(x, weights, 0.3, gram.dual(0.3))))
+        diag = _linalg.cho_inverse_diag(gram.take_factor(weights, 0.3))
+    assert np.max(np.abs(diag - reference) / reference) <= 1e-12
 
 
 @st.composite
@@ -252,7 +280,7 @@ def test_gram_keeps_one_factor_for_exactly_equal_weights(cho_calls):
     taken = gram.take_factor(weights, 0.3)
     assert len(cho_calls) == 6
     reference = weighted_gram(x, weights, 0.3)
-    assert np.allclose(np.triu(taken[0]).T @ np.triu(taken[0]), reference, rtol=1e-12)
+    assert np.allclose(np.tril(taken[0]) @ np.tril(taken[0]).T, reference, rtol=1e-12)
     gram.factor(weights, 0.3)  # the taken factor is not handed out again
     assert len(cho_calls) == 7
     wide = Gram(rng.standard_normal((6, 30)))  # p > n at a ridge: n x n
