@@ -1,4 +1,4 @@
-"""Weighted Gram matrices, their Cholesky inverses, and the adjustment trace.
+"""Weighted Gram matrices, Cholesky factors and inverses, and the adjustment trace.
 
 A weighted Gram matrix is S'S (or SS' on the dual path) with S = D^{1/2} X,
 which BLAS evaluates as a symmetric rank-k update (syrk).  One fit solves
@@ -10,19 +10,21 @@ path the last X'DX, updated over the rows whose weight changed; and the
 Cholesky factor of the last matrix it factored, which the trace takes over
 when the refit's last Newton step left the weights where the fit ended.
 
-Every factorization and solve goes straight to LAPACK: the matrices are
-built here from checked data, so the one finiteness check each entry makes
-replaces scipy's wrappers, which rescan every operand on every call.  A
-factor is the lower triangle L of A = LL', with the upper triangle zeroed,
-and an inverse read only for its diagonal comes from L^{-1} alone.
+Every factorization, solve and inverse in sindex goes through here,
+straight to LAPACK: the matrices are built from checked data, so the one
+finiteness check each entry makes replaces scipy's wrappers, which rescan
+every operand on every call.  A factor is the lower triangle L of A = LL',
+with the upper triangle zeroed, and the one inverse is L^{-1}
+(tri_inverse): diagonals of A^{-1} are its squared column norms, and the
+adjustment trace is a squared Frobenius norm of a product with it.
 """
 
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtri
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
-from .errors import RankError
+from .errors import RankError, SolverError
 
 #: The primal X'DX is updated over the changed rows when at most this share
 #: of the weights changed, and rebuilt otherwise: at 2000 x 800, updating
@@ -35,7 +37,7 @@ _UPDATE_SHARE = 0.5
 #: X'DX, as when most of the weight falls to zero.
 _UPDATE_MASS = 4.0
 
-#: _tri_inverse halves a triangle until it has at most this many rows, and
+#: tri_inverse halves a triangle until it has at most this many rows, and
 #: inverts those blocks with LAPACK's dtrtri.  With one BLAS thread on a
 #: shared 2-core Xeon, L^{-1} took about 0.3 against dtrtri's 0.65 ms at 250
 #: rows, and 4.5 against 10 ms at 800; bases of 32 and 128 were slower.
@@ -162,11 +164,11 @@ def cho_factor(a):
     as scipy.linalg.cho_factor(a, lower=True, overwrite_a=True) gives it,
     but with the upper triangle zeroed: in place when a is Fortran-ordered.
 
-    Raises ValueError when a is not finite, LinAlgError when it is not
+    Raises SolverError when a is not finite, LinAlgError when it is not
     positive definite.
     """
     if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
+        raise SolverError("matrix to factor is not finite")
     c, info = dpotrf(a, lower=1, overwrite_a=1, clean=1)
     if info > 0:
         raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
@@ -175,10 +177,10 @@ def cho_factor(a):
 
 def cho_solve(factor, b):
     """A^{-1} b from factor = cho_factor(A), as scipy.linalg.cho_solve; only
-    b is checked, as cho_factor checked A.  Raises ValueError when b is not
+    b is checked, as cho_factor checked A.  Raises SolverError when b is not
     finite."""
     if not np.isfinite(b).all():
-        raise ValueError("array must not contain infs or NaNs")
+        raise SolverError("right-hand side is not finite")
     c, lower = factor
     x, info = dpotrs(c, b, lower=lower)
     if info != 0:
@@ -186,27 +188,14 @@ def cho_solve(factor, b):
     return x
 
 
-def cho_inverse(factor):
-    """A^{-1} from factor = cho_factor(A), overwriting the factor.
-
-    Only the triangle the factor occupies (the lower one unless the factor
-    is upper) holds the inverse; the other triangle is left as it was.
-    """
-    c, lower = factor
-    inv, info = dpotri(c, lower=lower, overwrite_c=1)
-    if info != 0:
-        raise LinAlgError(f"potri failed with info = {info}")
-    return inv
-
-
 def cho_inverse_diag(factor):
     """diag(A^{-1}) from a lower factor = (L, True) of A = LL' whose upper
     triangle is zero, overwriting L: the squared column norms of L^{-1}."""
-    inv = _tri_inverse(factor[0])
+    inv = tri_inverse(factor[0])
     return np.einsum("ij,ij->j", inv, inv)
 
 
-def _tri_inverse(c):
+def tri_inverse(c):
     """L^{-1} written over the lower triangular c, upper triangle zero.
 
     With L = [[A, 0], [B, C]], L^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1},
@@ -221,8 +210,8 @@ def _tri_inverse(c):
         c[...] = inv
         return c
     k = n // 2
-    a = _tri_inverse(c[:k, :k])
-    d = _tri_inverse(c[k:, k:])
+    a = tri_inverse(c[:k, :k])
+    d = tri_inverse(c[k:, k:])
     b = dtrmm(1.0, a, c[k:, :k], side=1, lower=1)
     c[k:, :k] = dtrmm(-1.0, d, b, lower=1, overwrite_b=1)
     return c
@@ -235,14 +224,12 @@ def adjustment_trace(
 
     On the Gram's n-by-n path the push-through identity gives
     tr = ridge * tr(D (S S' + ridge I)^{-1}) with S = D^{1/2} X, which
-    needs only the diagonal of the inverse.  Otherwise tr(B^{-1} C),
-    B = X'DX + ridge I and C = (DX)'(DX) both symmetric, is summed over the
-    lower triangle of B^{-1}: the upper one of its factor is zero, and so
-    stays that of the inverse.  gram, a Gram of x, supplies
-    B (or SS' + ridge I) and takes its factor over, which is the refit's
-    last one when the weights are those of its last Newton step; without
-    it a private one is built.  Raises RankError when the Gram matrix is
-    singular.
+    needs only the diagonal of the inverse.  Otherwise, with B = X'DX +
+    ridge I = LL', tr(B^{-1} (DX)'(DX)) = ||L^{-1} (DX)'||_F^2.  gram, a
+    Gram of x, supplies B (or SS' + ridge I) and takes its factor over,
+    which is the refit's last one when the weights are those of its last
+    Newton step; without it a private one is built.  Raises RankError when
+    the Gram matrix is singular.
     """
     weights = np.asarray(weights, dtype=float)
     gram = Gram(x) if gram is None else gram
@@ -252,6 +239,7 @@ def adjustment_trace(
         raise RankError(f"weighted Gram matrix is singular: {err}") from err
     if gram.dual(ridge):
         return float(ridge * np.sum(weights * cho_inverse_diag(fac)))
-    inv = cho_inverse(fac)
-    c = weighted_gram(x, weights * weights)
-    return float(np.sum(weights) - 2.0 * np.vdot(inv, c) + np.diag(inv) @ np.diag(c))
+    # (DX)' is Fortran-ordered when x is C-ordered, so trmm overwrites it.
+    m = dtrmm(1.0, tri_inverse(fac[0]), (weights[:, None] * x).T, lower=1, overwrite_b=1)
+    m = m.ravel(order="K")
+    return float(np.sum(weights) - m @ m)

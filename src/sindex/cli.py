@@ -1,4 +1,4 @@
-"""Command-line front end: simulate, fit, infer, and experiment subcommands.
+"""Command-line front end: simulate, fit, and experiment subcommands.
 
 Exit codes: 0 on success, 2 on configuration or data errors, 3 on numerical
 failures.
@@ -152,34 +152,24 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _run_fit(args):
-    """Fit args.data; write report.json and link.csv to args.out."""
-    report = run_pipeline(ingest_csv(args.data, args.response), _load_config(args))
-    link = report.link
-    rows = zip(link.grid.tolist(), link.values.tolist(), link.deriv.tolist())
-    tables = {"link.csv": (["x", "ghat", "ghat_deriv"], rows)}
-    _write_outputs(args.out, tables, {"report.json": report.to_dict()})
-    return report
-
-
 def _cmd_fit(args) -> int:
-    report = _run_fit(args)
-    beta = report.coef.beta
+    """Fit args.data; write report.json, link.csv and inference.csv to
+    args.out, and print the fit's and the inference's summaries."""
+    report = run_pipeline(ingest_csv(args.data, args.response), _load_config(args))
+    link, inf = report.link, report.inference
+    link_rows = zip(link.grid.tolist(), link.values.tolist(), link.deriv.tolist())
+    columns = (inf.beta_hat, inf.t_stats, inf.ci_lo, inf.ci_hi, inf.p_values)
+    inf_rows = zip(range(1, report.p + 1), *(a.tolist() for a in columns))
+    tables = {
+        "link.csv": (["x", "ghat", "ghat_deriv"], link_rows),
+        "inference.csv": (["j", "beta_hat", "T", "ci_lo", "ci_hi", "p_value"], inf_rows),
+    }
+    _write_outputs(args.out, tables, {"report.json": report.to_dict()})
     print(
         f"fit: p={report.p}, iterations={report.coef.iterations}, "
         f"grad_norm={report.coef.grad_norm:.2e}"
     )
-    print(f"coefficient norm {np.linalg.norm(beta):.6f}")
-    return 0
-
-
-def _cmd_infer(args) -> int:
-    report = _run_fit(args)
-    inf = report.inference
-    columns = (inf.beta_hat, inf.t_stats, inf.ci_lo, inf.ci_hi, inf.p_values)
-    rows = zip(range(1, report.p + 1), *(a.tolist() for a in columns))
-    header = ["j", "beta_hat", "T", "ci_lo", "ci_hi", "p_value"]
-    _write_outputs(args.out, {"inference.csv": (header, rows)}, {})
+    print(f"coefficient norm {np.linalg.norm(report.coef.beta):.6f}")
     print(
         f"infer: mode={inf.mode}, mu_hat={inf.mu_hat:.6f}, "
         f"sigma2_hat={inf.sigma2_hat:.6f}, alpha={inf.alpha}"
@@ -223,20 +213,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", default="sindex-out")
     sim.set_defaults(func=_cmd_simulate)
 
-    for name, fn in (("fit", _cmd_fit), ("infer", _cmd_infer)):
-        cmd = sub.add_parser(name, help=f"{name} a model on a CSV dataset")
-        cmd.add_argument("--data", required=True)
-        cmd.add_argument("--response", default="y")
-        cmd.add_argument("--config", help="pipeline config JSON")
-        cmd.add_argument("--pilot", choices=PILOT_KINDS)
-        cmd.add_argument("--lambda", dest="pilot_lambda", type=float)
-        cmd.add_argument("--penalty", choices=("none", "ridge"))
-        cmd.add_argument("--penalty-lambda", type=float)
-        cmd.add_argument("--alpha", type=float)
-        cmd.add_argument("--no-split", action="store_true")
-        cmd.add_argument("--seed", type=int)
-        cmd.add_argument("--out", default="sindex-out")
-        cmd.set_defaults(func=fn)
+    fit = sub.add_parser("fit", help="fit a model on a CSV dataset, with inference")
+    fit.add_argument("--data", required=True)
+    fit.add_argument("--response", default="y")
+    fit.add_argument("--config", help="pipeline config JSON")
+    fit.add_argument("--pilot", choices=PILOT_KINDS)
+    fit.add_argument("--lambda", dest="pilot_lambda", type=float)
+    fit.add_argument("--penalty", choices=("none", "ridge"))
+    fit.add_argument("--penalty-lambda", type=float)
+    fit.add_argument("--alpha", type=float)
+    fit.add_argument("--no-split", action="store_true")
+    fit.add_argument("--seed", type=int)
+    fit.add_argument("--out", default="sindex-out")
+    fit.set_defaults(func=_cmd_fit)
 
     exp = sub.add_parser("experiment", help="run a named experiment")
     exp.add_argument("--name", required=True)

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import ndtr, ndtri
 
-from ._linalg import adjustment_trace
+from ._linalg import adjustment_trace, cho_factor, tri_inverse
 from .errors import ConfigError, DegenerateError
 from .models import covariance_cholesky
 from .pilot import observable_adjustments
@@ -96,6 +95,14 @@ def adjust_inferential(
     return adj.mu, adj.sigma2
 
 
+def check_alpha(alpha: float) -> None:
+    """A ConfigError unless alpha lies in (0, 1) and alpha / 2 is not 0, as
+    it is at the least subnormal, 5e-324."""
+    # Negated, so that nan fails it too.
+    if not (0.0 < alpha / 2.0 and alpha < 1.0):
+        raise ConfigError(f"alpha must lie in (0, 1) with alpha / 2 > 0, got {alpha}")
+
+
 def marginal_inference(
     beta_hat: np.ndarray,
     mu_hat: float,
@@ -110,8 +117,7 @@ def marginal_inference(
     T_j = sqrt(p) tau_j (beta_j - mu b0_j) / sigma against null values b0;
     CI_j = mu^{-1} [beta_j -+ z sigma / (sqrt(p) tau_j)].
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     beta_hat = np.asarray(beta_hat, dtype=float)
     p = len(beta_hat)
     tau = np.asarray(tau, dtype=float)
@@ -130,11 +136,13 @@ def marginal_inference(
     sigma = np.sqrt(sigma2_hat)
     sp = np.sqrt(p)
     t_stats = sp * tau * (beta_hat - mu_hat * null_values) / sigma
-    z = float(ndtri(1.0 - alpha / 2.0))
+    # Both from the lower tail, where they do not round: 1 - alpha / 2
+    # is 1 for alpha below about 1e-16, and 1 - ndtr(|T|) is 0 for |T| > 8.3.
+    z = float(-ndtri(alpha / 2.0))
     half = z * sigma / (sp * tau)
     ci_lo = (beta_hat - half) / mu_hat
     ci_hi = (beta_hat + half) / mu_hat
-    p_values = 2.0 * (1.0 - ndtr(np.abs(t_stats)))
+    p_values = 2.0 * ndtr(-np.abs(t_stats))
     reject = np.abs(t_stats) >= z
     return InferenceReport(
         mode=mode,
@@ -199,8 +207,8 @@ def joint_transform(sigma: np.ndarray, coords: Sequence[int]) -> np.ndarray:
     Returns M with M Theta_S M' = I (inverse of the Cholesky factor of the
     S-block of the precision matrix), so that
     M sqrt(p) (beta_hat_S - mu beta_S) / sigma is asymptotically standard
-    normal.  Theta_S = Z'Z, with L Z = I_S for the Cholesky factor L of
-    Sigma (models.covariance_cholesky) and the columns I_S of the identity.
+    normal.  Theta_S = Z'Z for Z = L^{-1} I_S, the columns S of the inverse
+    of the Cholesky factor L of Sigma (models.covariance_cholesky).
     """
     coords = np.asarray(coords)
     if coords.ndim != 1 or coords.dtype.kind not in "iu" or len(coords) == 0:
@@ -208,6 +216,5 @@ def joint_transform(sigma: np.ndarray, coords: Sequence[int]) -> np.ndarray:
     p = len(sigma)
     if len(np.unique(coords)) < len(coords) or coords.min() < 0 or coords.max() >= p:
         raise ConfigError(f"coordinates must be distinct and lie in [0, {p}), not {coords}")
-    chol = covariance_cholesky(sigma)
-    z = solve_triangular(chol, np.eye(p)[:, coords], lower=True)
-    return np.linalg.inv(np.linalg.cholesky(z.T @ z))
+    z = tri_inverse(covariance_cholesky(sigma))[:, coords]
+    return tri_inverse(cho_factor(z.T @ z)[0])

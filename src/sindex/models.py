@@ -9,9 +9,10 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np
+from scipy.linalg import LinAlgError
 from scipy.special import exp1, expit
 
-from ._linalg import cho_inverse_diag
+from ._linalg import cho_factor, cho_inverse_diag
 from .errors import ConfigError, GenerationError, InvalidDesignError
 
 _EULER_GAMMA = 0.5772156649015329
@@ -57,8 +58,10 @@ def covariance_cholesky(sigma: np.ndarray) -> np.ndarray:
     if np.max(np.abs(sigma - sigma.T)) > 1e-10:
         raise InvalidDesignError("covariance is not symmetric to 1e-10")
     try:
-        return np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as err:
+        # C-ordered: sample_design's draw @ chol.T rounds differently
+        # on a Fortran-ordered factor.
+        return np.ascontiguousarray(cho_factor(sigma.copy(order="F"))[0])
+    except LinAlgError as err:
         raise InvalidDesignError("covariance is not positive definite") from err
 
 

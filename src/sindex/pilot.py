@@ -162,9 +162,15 @@ def observable_adjustments(
     kappa = p / n
     if v + lam <= 0:
         raise DegenerateError("observable adjustment has v + lambda <= 0")
+    try:
+        denom = n * (v + lam) ** 2
+    except OverflowError:  # a float's power raises where a product gives inf
+        denom = np.inf
+    if not 0.0 < denom < np.inf:  # an extreme lambda under- or overflows it
+        raise DegenerateError(f"observable adjustment has n (v + lambda)^2 = {denom}")
     resid = y - fitted
     gamma = kappa / (v + lam)
-    sigma2 = kappa * float(resid @ resid) / (n * (v + lam) ** 2)
+    sigma2 = kappa * float(resid @ resid) / denom
     if lam > 0:
         radicand = float(beta @ beta) - sigma2
     else:

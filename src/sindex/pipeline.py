@@ -15,7 +15,7 @@ import numpy as np
 from ._linalg import Gram
 from .deconv import DeconvConfig, IndexEstimate, LinkEstimate, estimate_link
 from .errors import ConfigError, PipelineError, SindexError, SplitError
-from .inference import InferenceReport, adjust_inferential, marginal_inference
+from .inference import InferenceReport, adjust_inferential, check_alpha, marginal_inference
 from .models import Dataset, DesignSpec
 from .pilot import PilotFit, check_pilot, debias_index, fit_pilot
 from .surrogate import CoefFit, fit_coefficients
@@ -125,8 +125,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         check_pilot(self.pilot_kind, self.pilot_lam)
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+        check_alpha(self.alpha)
         if self.penalty not in ("none", "ridge"):
             raise ConfigError(f"unknown penalty {self.penalty!r}")
         if self.penalty == "none":

@@ -174,11 +174,14 @@ def test_cli_fit_writes_what_run_pipeline_gives(tmp_path, capsys):
     data = str(sim / "data.csv")
     assert main(["fit", "--data", data, "--config", str(cfg), "--out", str(out)]) == 0
     report = run_pipeline(ingest_csv(data, "y"), PipelineConfig.from_dict(doc))
-    beta = report.coef.beta
+    beta, inf = report.coef.beta, report.inference
     assert capsys.readouterr().out.splitlines() == [
         f"fit: p=5, iterations={report.coef.iterations}, "
         f"grad_norm={report.coef.grad_norm:.2e}",
         f"coefficient norm {np.linalg.norm(beta):.6f}",
+        f"infer: mode={inf.mode}, mu_hat={inf.mu_hat:.6f}, "
+        f"sigma2_hat={inf.sigma2_hat:.6f}, alpha={inf.alpha}",
+        f"rejections at alpha={inf.alpha}: {int(inf.reject.sum())} of 5",
     ]
     assert (out / "report.json").read_text() == report.to_json(indent=2) + "\n"
     link = report.link
@@ -186,7 +189,7 @@ def test_cli_fit_writes_what_run_pipeline_gives(tmp_path, capsys):
     assert _read_csv(out / "link.csv") == (
         ["x", "ghat", "ghat_deriv"], [[str(v) for v in row] for row in rows]
     )
-    assert sorted(os.listdir(out)) == ["link.csv", "report.json"]
+    assert sorted(os.listdir(out)) == ["inference.csv", "link.csv", "report.json"]
 
 
 def test_round_trip(tmp_path):
@@ -221,7 +224,7 @@ def test_cli_simulate_fit_infer(tmp_path):
     fit_dir = tmp_path / "fit"
     rc = main(
         [
-            "infer",
+            "fit",
             "--data",
             str(sim_dir / "data.csv"),
             "--pilot",
@@ -279,7 +282,7 @@ def test_written_files_parse_back_bit_for_bit(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_pipeline", run_and_keep)
     data = str(sim_dir / "data.csv")
     flags = ["--pilot", "ls", "--penalty", "none", "--no-split"]
-    assert main(["infer", "--data", data, *flags, "--out", str(fit_dir)]) == 0
+    assert main(["fit", "--data", data, *flags, "--out", str(fit_dir)]) == 0
     [report] = reports
     assert sorted(os.listdir(fit_dir)) == ["inference.csv", "link.csv", "report.json"]
 
@@ -429,6 +432,23 @@ def test_only_linalg_calls_lapack_and_blas():
                 continue
             found += [(module, name) for name in names if name in _RAW_LINEAR_ALGEBRA]
     assert {module for module, _ in found} == {"_linalg.py"}
+
+
+#: The factorizations and inverses that only sindex._linalg may call.
+_FACTOR_OR_INVERSE = {"cholesky", "inv", "solve_triangular"}
+
+
+def test_only_linalg_factors_and_inverts():
+    # Every factor comes from _linalg.cho_factor and every inverse from
+    # _linalg.tri_inverse, whatever numpy or scipy name would also serve.
+    found = []
+    for module, text in _sources().items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                found += [(module, a.name) for a in node.names if a.name in _FACTOR_OR_INVERSE]
+            elif isinstance(node, ast.Attribute) and node.attr in _FACTOR_OR_INVERSE:
+                found.append((module, node.attr))
+    assert [(module, name) for module, name in found if module != "_linalg.py"] == []
 
 
 #: Errors that no module catches.
@@ -587,7 +607,7 @@ def test_cli_malformed_config_exit_code(tmp_path, capsys, text, flags):
     cfg = tmp_path / "bad.json"
     cfg.write_text(text)
     data, out = str(sim_dir / "data.csv"), str(tmp_path / "fit")
-    rc = main(["infer", "--data", data, "--config", str(cfg), *flags, "--out", out])
+    rc = main(["fit", "--data", data, "--config", str(cfg), *flags, "--out", out])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -723,7 +743,7 @@ def test_cli_numerical_error_exit_code(tmp_path):
     )
     rc = main(
         [
-            "infer",
+            "fit",
             "--data",
             str(sim_dir / "data.csv"),
             "--pilot",
@@ -738,8 +758,25 @@ def test_cli_numerical_error_exit_code(tmp_path):
     assert rc == 3
 
 
-def _infer_config(*flags):
-    args = _build_parser().parse_args(["infer", "--data", "d.csv", *flags])
+@pytest.mark.parametrize(
+    "scale, doc",
+    [(1e160, {}), (1.0, {"pilot": {"lambda": 1e300}}), (1.0, {"pilot": {"lambda": 1e-300}})],
+    ids=["overflowing-data", "lambda-1e300", "lambda-1e-300"],
+)
+def test_cli_extreme_inputs_exit_3(tmp_path, capsys, scale, doc):
+    # Each ends in a numerical error of the pilot stage, not a traceback.
+    x, y, _, _ = _simulate("cubic", 50, 100, "uniform-sphere", np.random.SeedSequence(4))
+    data, cfg = tmp_path / "data.csv", tmp_path / "cfg.json"
+    dataset_to_csv(Dataset(x * scale, y), data)
+    cfg.write_text(json.dumps(doc))
+    argv = ["fit", "--data", str(data), "--config", str(cfg), "--out", str(tmp_path / "fit")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: [pilot] ")
+
+
+def _fit_config(*flags):
+    args = _build_parser().parse_args(["fit", "--data", "d.csv", *flags])
     return _load_config(args)
 
 
@@ -751,14 +788,14 @@ def test_cli_flags_override_only_the_keys_they_name(tmp_path):
         "split": {"no_split": True, "seed": 7},
     }
     cfg.write_text(json.dumps(doc))
-    assert _infer_config("--config", str(cfg), "--alpha", "0.01").alpha == 0.01
-    config = _infer_config("--config", str(cfg), "--seed", "3")
+    assert _fit_config("--config", str(cfg), "--alpha", "0.01").alpha == 0.01
+    config = _fit_config("--config", str(cfg), "--seed", "3")
     assert config.split == SplitConfig(no_split=True, seed=3)
     assert config.alpha == 0.1
-    config = _infer_config("--config", str(cfg), "--pilot", "ridge")
+    config = _fit_config("--config", str(cfg), "--pilot", "ridge")
     assert (config.pilot_lam, config.alpha, config.split.seed) == (0.5, 0.1, 7)
     # Flags alone change the defaults only where they are passed.
-    config = _infer_config("--pilot", "ls", "--penalty", "none", "--no-split")
+    config = _fit_config("--pilot", "ls", "--penalty", "none", "--no-split")
     expected = PipelineConfig(
         pilot_kind="ls",
         penalty="none",

@@ -148,6 +148,20 @@ def test_marginal_inference_interval_width_and_rejection():
     assert np.array_equal(report.reject, outside)
 
 
+def test_quantile_and_p_values_hold_in_the_tails():
+    # With p = 2 and sigma^2 = 2, T = beta_hat.  1 - ndtr(10) is 0 and
+    # ndtri(1 - 1e-300 / 2) is inf; both are taken from the lower tail.
+    report = marginal_inference(np.array([10.0, 0.0]), 1.0, 2.0, np.ones(2), alpha=1e-300)
+    assert np.allclose(report.t_stats, [10.0, 0.0], rtol=1e-15)
+    assert report.p_values[0] == pytest.approx(1.523970604832094e-23, rel=1e-12)
+    assert report.p_values[1] == 1.0
+    assert np.allclose(report.ci_hi, [10.0 + 37.06578788077213, 37.06578788077213])
+    assert np.all(np.isfinite(report.ci_lo)) and not report.reject.any()
+    # alpha / 2 rounds to 0 at the least subnormal: no finite quantile.
+    with pytest.raises(ConfigError, match="alpha"):
+        marginal_inference(np.ones(2), 1.0, 1.0, np.ones(2), alpha=5e-324)
+
+
 def test_marginal_inference_validation():
     with pytest.raises(ConfigError):
         marginal_inference(np.ones(2), 1.0, 1.0, np.ones(2), alpha=1.5)

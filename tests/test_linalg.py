@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
-from scipy.linalg import LinAlgError, cho_factor
+from scipy.linalg import LinAlgError
 
 from sindex import _linalg
-from sindex._linalg import Gram, adjustment_trace, cho_inverse, weighted_gram
+from sindex._linalg import Gram, adjustment_trace, tri_inverse, weighted_gram
 from sindex.deconv import KERNELS, DeconvConfig
-from sindex.errors import RankError
+from sindex.errors import RankError, SolverError
 from sindex.experiments import _simulate
 from sindex.inference import adjust_inferential
 from sindex.models import Dataset
@@ -37,6 +37,18 @@ def problems(draw):
     return x, weights, ridge
 
 
+@st.composite
+def tall_problems(draw):
+    """(x, weights, ridge) with n > p and p on both sides of the triangular
+    inverse's recursion base of 64 rows, so that the trace's p x p L^{-1}
+    is built by dtrtri alone or by the recursion."""
+    p = draw(st.sampled_from((63, 64, 65, 128, 129)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = p + draw(st.integers(1, 40))
+    ridge = draw(st.sampled_from((0.0, 0.5)))
+    return rng.standard_normal((n, p)), rng.uniform(0.1, 2.0, n), ridge
+
+
 def dense_hessian(x, weights, ridge):
     return x.T @ np.diag(weights) @ x + ridge * np.eye(x.shape[1])
 
@@ -61,7 +73,7 @@ def used_gram(x, weights, ridge):
 
 
 @settings(max_examples=200, deadline=None)
-@given(problems())
+@given(st.one_of(problems(), tall_problems()))
 def test_adjustment_trace_matches_dense_inverse(problem):
     x, weights, ridge = problem
     assume(well_posed(x, weights, ridge))
@@ -120,18 +132,18 @@ def test_cho_factor_and_solve_match_scipy_bit_for_bit(p, columns, seed):
     for bad in (np.nan, np.inf, -np.inf):
         broken = weighted_gram(x, None, 0.01)
         broken[p // 2, 0] = bad
-        with pytest.raises(ValueError):
+        with pytest.raises(SolverError):
             _linalg.cho_factor(broken)
         spoiled = rhs.copy()
         spoiled.flat[-1] = bad
-        with pytest.raises(ValueError):
+        with pytest.raises(SolverError):
             _linalg.cho_solve(factor, spoiled)
     with pytest.raises(LinAlgError):
         _linalg.cho_factor(-weighted_gram(x, None, 0.01))
 
 
 @pytest.mark.parametrize("dual", [False, True])
-def test_weighted_gram_and_cho_inverse(dual):
+def test_weighted_gram_and_tri_inverse(dual):
     rng = np.random.default_rng(1)
     x = rng.standard_normal((7, 5))
     w = rng.uniform(0.5, 2.0, 7)
@@ -140,8 +152,9 @@ def test_weighted_gram_and_cho_inverse(dual):
     reference = s @ s.T if dual else x.T @ np.diag(w) @ x
     reference += 0.3 * np.eye(len(reference))
     assert np.allclose(gram, reference, rtol=1e-13, atol=0.0)
-    inv = cho_inverse(cho_factor(gram, overwrite_a=True))
-    assert np.allclose(np.triu(inv), np.triu(np.linalg.inv(reference)), rtol=1e-12)
+    inv = tri_inverse(_linalg.cho_factor(gram)[0])
+    assert not np.triu(inv, 1).any()
+    assert np.allclose(inv.T @ inv, np.linalg.inv(reference), rtol=1e-12)
 
 
 @settings(max_examples=150, deadline=None)

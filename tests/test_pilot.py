@@ -209,6 +209,15 @@ def test_pilot_fit_failures(call, error, message):
         call(rng.standard_normal((10, 2)), rng.integers(0, 2, 10).astype(float))
 
 
+@pytest.mark.parametrize("lam", [1e300, 1e-300])
+def test_extreme_ridge_lambda_is_degenerate(lam):
+    # n (v + lambda)^2 overflows at 1e300 and underflows to 0 at 1e-300,
+    # with p > n so that v is of the order of lambda.
+    x, y, _, _ = _simulate("cubic", 50, 100, "uniform-sphere", np.random.SeedSequence(4))
+    with pytest.raises(DegenerateError, match=r"n \(v \+ lambda\)\^2 = (inf|0\.0)"):
+        fit_pilot(x, y, "ridge", lam)
+
+
 def test_ridge_adjustments_hand_trace():
     adj = fit_pilot(np.array([[1.0]]), np.array([1.0]), "ridge", 1.0).adjustments
     assert adj.v == pytest.approx(0.5)

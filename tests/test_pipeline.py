@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 import sindex
 from sindex import experiments
 from sindex.deconv import DeconvConfig, _MAX_EXPONENT, _kernel_exponent, select_bandwidth
-from sindex.errors import ConfigError, NonConvergenceError, PipelineError, SplitError
+from sindex.errors import (
+    ConfigError, NonConvergenceError, PipelineError, SolverError, SplitError
+)
 from sindex.experiments import FIGURE3_CONFIG, TABLE1_CONFIG, _map_reps, _simulate
 from sindex.models import (
     Dataset,
@@ -366,12 +368,24 @@ def test_censored_mode_runs():
     assert np.isfinite(report.inference.sigma2_hat)
 
 
+@pytest.mark.parametrize("shape", [(50, 100), (200, 5)], ids=["dual", "primal"])
+def test_a_gram_matrix_that_overflows_fails_in_its_stage(shape):
+    # At this scale X'X or XX' overflows, and the pilot's factorization
+    # refuses it as a solver failure, which the pipeline names by stage.
+    x, y, _, _ = _simulate("cubic", *shape, "uniform-sphere", np.random.SeedSequence(3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PipelineError, match=r"^\[pilot\]") as info:
+            run_pipeline(Dataset(x * 1e160, y), PipelineConfig())
+    assert isinstance(info.value.cause, SolverError)
+
+
 def test_configs_check_seed_and_alpha_when_built():
     for seed in (-1, 1.5, "3", True, None):
         with pytest.raises(ConfigError, match="seed"):
             SplitConfig(seed=seed)
     assert SplitConfig(seed=np.uint32(7)).seed == 7
-    for alpha in (0.0, 1.0, -0.1, 2, float("nan")):
+    # At 5e-324, the least subnormal, alpha / 2 rounds to 0.
+    for alpha in (0.0, 1.0, -0.1, 2, float("nan"), 5e-324):
         with pytest.raises(ConfigError, match="alpha"):
             PipelineConfig(alpha=alpha)
     # The experiments' configs survive a round trip through their documents.
